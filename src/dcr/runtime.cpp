@@ -1357,7 +1357,7 @@ void DcrRuntime::close_template_window(ShardState& st, std::size_t shard_idx) {
              ? prof::Counter::TemplateWindowHits
              : prof::Counter::TemplateWindowMisses);
   st.templates.end(forest_);
-  profiler_.emit({prof::SpanKind::TraceWindow, prof::Lane::Control, shard_idx,
+  profiler_.emit({prof::SpanKind::TraceWindow, prof::Lane::Control, st.id.value,
                   st.window_started, clock_.now(), prof::kNoId,
                   st.windows_opened - 1});
 }

@@ -35,14 +35,23 @@ void TraceIdentifier::configure(const TraceIdConfig& cfg) {
   cfg_.demote_strikes = std::max<std::uint64_t>(1, cfg_.demote_strikes);
   ring_.assign(cfg_.max_period + cfg_.probe, 0);
   // Z^{4(probe-1)}: CRC is GF(2)-linear, so shifting a state S past k zero
-  // bytes decomposes by bytes of S: Z^k(S) = xor_j Tbl[j][byte_j(S)].  Each
-  // table entry is computed once here by actually feeding the zero bytes.
+  // bytes decomposes by bytes of S: Z^k(S) = xor_j Tbl[j][byte_j(S)].  By the
+  // same linearity each table entry is the xor of its single-bit entries, so
+  // only those 32 are computed by actually feeding the zero bytes — feeding
+  // them for every entry would dominate runtime set-up at 1000+ shards.
   const std::uint64_t zeros = 4 * (cfg_.probe - 1);
-  for (int j = 0; j < 4; ++j) {
-    for (std::uint32_t v = 0; v < 256; ++v) {
+  for (std::size_t j = 0; j < 4; ++j) {
+    std::array<std::uint32_t, 256>& tbl = shift_out_[j];
+    tbl[0] = 0;
+    for (std::uint32_t v = 1; v < 256; ++v) {
+      const std::uint32_t low = v & (0u - v);  // lowest set bit of v
+      if (v != low) {
+        tbl[v] = tbl[v ^ low] ^ tbl[low];
+        continue;
+      }
       std::uint32_t s = v << (8 * j);
       for (std::uint64_t k = 0; k < zeros; ++k) s = crc_zero_step(s);
-      shift_out_[static_cast<std::size_t>(j)][v] = s;
+      tbl[v] = s;
     }
   }
   reset();

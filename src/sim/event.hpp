@@ -8,8 +8,8 @@
 // paper §4.1 "gathers event preconditions").
 //
 // Thread-safety: none needed — the simulator executes exactly one activity
-// at a time (see simulator.hpp), so all event operations happen on the
-// simulation thread or on the single currently-running process thread.
+// at a time, and processes are fibers on the thread that runs it (see
+// simulator.hpp), so all event operations happen on that one thread.
 #pragma once
 
 #include <functional>
@@ -113,8 +113,11 @@ inline Event merge_events(std::span<const Event> events) {
   UserEvent merged;
   auto remaining = std::make_shared<std::size_t>(pending.size());
   for (const Event& e : pending) {
-    e.on_trigger([merged, remaining, e]() {
-      if (--*remaining == 0) merged.trigger(e.trigger_time());
+    // A weak reference: a waiter that owned its own event would keep an
+    // input that never triggers (an aborted run) alive forever, and with it
+    // `merged` and everything waiting on it.
+    e.on_trigger([merged, remaining, input = std::weak_ptr(e.state_)]() {
+      if (--*remaining == 0) merged.trigger(input.lock()->trigger_time);
     });
   }
   return merged;

@@ -451,8 +451,11 @@ TEST(ThreadBackend, FuturesBroadcastAndReduce) {
     ThreadConfig cfg;
     cfg.num_shards = shards;
     ThreadRuntime rt(functions, cfg);
-    double single = 0.0, reduced = 0.0;
+    // One slot per shard: every shard observes both futures, and each shard
+    // thread writes only its own slot.
+    std::vector<double> single(shards, 0.0), reduced(shards, 0.0);
     const DcrStats stats = rt.execute([&, fn](core::Context& ctx) {
+      const std::size_t me = ctx.shard_id().value;
       const FieldSpaceId fs = ctx.create_field_space();
       const FieldId f = ctx.allocate_field(fs, 8, "x");
       const RegionTreeId tree = ctx.create_region(rt::Rect::r1(0, 63), fs);
@@ -465,7 +468,7 @@ TEST(ThreadBackend, FuturesBroadcastAndReduce) {
       tl.requirements.push_back(
           {root, {f}, rt::Privilege::ReadWrite, rt::kNoRedop});
       tl.wants_future = true;
-      single = ctx.get_future(ctx.launch(tl));
+      single[me] = ctx.get_future(ctx.launch(tl));
       // Index launch reduced to one future: the all-reduce collective.
       core::IndexLaunch il;
       il.fn = fn;
@@ -474,11 +477,13 @@ TEST(ThreadBackend, FuturesBroadcastAndReduce) {
           rt::GroupRequirement::on_partition(part, {f}, rt::Privilege::ReadWrite));
       il.wants_futures = true;
       const core::FutureMap fm = ctx.index_launch(il);
-      reduced = ctx.get_future(ctx.reduce_future_map(fm, core::ReduceOp::Sum));
+      reduced[me] = ctx.get_future(ctx.reduce_future_map(fm, core::ReduceOp::Sum));
     });
     ASSERT_TRUE(stats.completed) << shards << " shards: " << stats.abort_message;
-    EXPECT_EQ(single, 10.0) << shards;           // point 0 of a single task
-    EXPECT_EQ(reduced, 10 + 11 + 12 + 13) << shards;
+    for (std::size_t i = 0; i < shards; ++i) {
+      EXPECT_EQ(single[i], 10.0) << shards << " shards, shard " << i;  // point 0 of a single task
+      EXPECT_EQ(reduced[i], 10 + 11 + 12 + 13) << shards << " shards, shard " << i;
+    }
     EXPECT_FALSE(stats.determinism_violation) << stats.violation_message;
   }
 }

@@ -2,7 +2,10 @@
 // calendar, processes, the network model, collectives, and processors.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,19 @@ TEST(Event, MergeOfTriggeredEventsKeepsLatestTime) {
 
 TEST(Event, MergeEmptyIsNoEvent) {
   EXPECT_TRUE(merge_events({}).has_triggered());
+}
+
+TEST(Event, MergeOfNeverTriggeredInputsIsFreed) {
+  // Inputs that never trigger (an aborted run) must die with their last
+  // handle, and take the merged event's waiters with them.
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  {
+    UserEvent a, b;
+    const Event m = merge_events({a, b});
+    m.on_trigger([s = std::move(sentinel)] {});
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 // ----------------------------------------------------------------- simulator
@@ -185,6 +201,145 @@ TEST(Process, BlockedProcessKilledCleanlyOnTeardown) {
     EXPECT_EQ(sim.live_processes(), 1u);
   }
   EXPECT_TRUE(unwound);
+}
+
+TEST(Process, KilledBeforeStartNeverRunsBody) {
+  Simulator sim;
+  bool ran = false;
+  bool completed = false;
+  auto& p = sim.spawn("late", [&](ProcessContext&) { ran = true; }, /*start_delay=*/100);
+  p.completion().on_trigger([&] { completed = true; });
+  sim.schedule(10, [&] { p.kill(); });
+  sim.run();
+  EXPECT_TRUE(p.finished());
+  EXPECT_FALSE(ran);
+  EXPECT_FALSE(completed);
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
+TEST(Process, KillFromAnotherProcessReturnsToTheKiller) {
+  // The victim unwinds on its own stack, then control comes back to the
+  // killer's body (not to the calendar loop), which keeps running.
+  Simulator sim;
+  UserEvent never;
+  bool unwound = false;
+  std::vector<SimTime> killer_stamps;
+  auto& victim = sim.spawn("victim", [&](ProcessContext& ctx) {
+    struct Sentinel {
+      bool* flag;
+      ~Sentinel() { *flag = true; }
+    } s{&unwound};
+    ctx.wait(never);
+  });
+  bool victim_completed = false;
+  victim.completion().on_trigger([&] { victim_completed = true; });
+  sim.spawn("killer", [&](ProcessContext& ctx) {
+    ctx.delay(20);
+    victim.kill();
+    killer_stamps.push_back(ctx.now());
+    EXPECT_TRUE(unwound);
+    EXPECT_TRUE(victim.finished());
+    ctx.delay(5);
+    killer_stamps.push_back(ctx.now());
+  });
+  EXPECT_EQ(sim.run(), 25u);
+  EXPECT_EQ(killer_stamps, (std::vector<SimTime>{20, 25}));
+  EXPECT_FALSE(victim_completed);
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
+// Recurses through `depth` frames of at least `kFrameBytes` each.  Every
+// frame reads its array after the recursive call returns, at an index that
+// depends on the result, so no frame can be elided or turned into a loop.
+constexpr std::size_t kFrameBytes = 1024;
+std::uint64_t deep_stack(std::size_t depth) {
+  volatile unsigned char frame[kFrameBytes];
+  for (std::size_t i = 0; i < kFrameBytes; ++i) frame[i] = static_cast<unsigned char>(depth + i);
+  if (depth == 0) return frame[0];
+  const std::uint64_t below = deep_stack(depth - 1);
+  return below + frame[below % kFrameBytes];
+}
+
+TEST(Process, BodyCanUseMoreThanAMebibyteOfStack) {
+  Simulator sim;
+  std::uint64_t sum = 0;
+  auto& p = sim.spawn("deep", [&](ProcessContext& ctx) {
+    ctx.delay(1);
+    sum = deep_stack(1536);  // 1.5 MiB of frames
+    ctx.delay(1);
+  });
+  sim.run();
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(sum, deep_stack(1536));
+}
+
+TEST(Process, FourThousandProcessesSpawnBlockAndFinish) {
+  // The top of the shard sweep: every process blocks on a shared gate, then
+  // staggers its finish.
+  constexpr std::size_t kProcs = 4096;
+  Simulator sim;
+  UserEvent gate;
+  std::size_t finished_bodies = 0;
+  for (std::size_t i = 0; i < kProcs; ++i) {
+    sim.spawn("p" + std::to_string(i), [&, i](ProcessContext& ctx) {
+      ctx.wait(gate);
+      ctx.delay(1 + i % 7);
+      ++finished_bodies;
+    });
+  }
+  sim.schedule(50, [&] {
+    EXPECT_EQ(sim.live_processes(), kProcs);
+    gate.trigger(sim.now());
+  });
+  EXPECT_EQ(sim.run(), 57u);
+  EXPECT_EQ(finished_bodies, kProcs);
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
+TEST(Process, BodyExceptionIsRethrownFromRun) {
+  Simulator sim;
+  bool completed = false;
+  auto& p = sim.spawn("thrower", [&](ProcessContext& ctx) {
+    ctx.delay(10);
+    throw std::runtime_error("shard body failed");
+  });
+  p.completion().on_trigger([&] { completed = true; });
+  try {
+    sim.run();
+    FAIL() << "run() returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard body failed");
+  }
+  EXPECT_EQ(sim.now(), 10u);
+  EXPECT_TRUE(p.finished());
+  EXPECT_FALSE(completed);
+}
+
+TEST(Process, BlockedProcessesUnwindAfterABodyThrows) {
+  // One body throws while others are blocked: run() rethrows, and the
+  // blocked ones still unwind when the simulator is destroyed.
+  int unwound = 0;
+  {
+    Simulator sim;
+    UserEvent never;
+    for (int i = 0; i < 3; ++i) {
+      sim.spawn("stuck" + std::to_string(i), [&](ProcessContext& ctx) {
+        struct Sentinel {
+          int* count;
+          ~Sentinel() { ++*count; }
+        } s{&unwound};
+        ctx.wait(never);
+      });
+    }
+    sim.spawn("thrower", [&](ProcessContext& ctx) {
+      ctx.delay(5);
+      throw std::logic_error("boom");
+    });
+    EXPECT_THROW(sim.run(), std::logic_error);
+    EXPECT_EQ(sim.live_processes(), 3u);
+    EXPECT_EQ(unwound, 0);
+  }
+  EXPECT_EQ(unwound, 3);
 }
 
 TEST(Process, WaitAtLeastChargesMinimum) {
