@@ -7,12 +7,16 @@
 // testbeds; EXPERIMENTS.md records the shape comparison.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dcr/runtime.hpp"
+#include "scope/baseline.hpp"
 #include "sim/machine.hpp"
 
 namespace dcr::bench {
@@ -110,6 +114,79 @@ inline void header(const char* figure, const char* title, const char* expectatio
 // iterations (or other work units) per second of virtual time.
 inline double per_second(double units, SimTime makespan) {
   return units / (static_cast<double>(makespan) * 1e-9);
+}
+
+// Fastest of a bench's repetitions (host wall time is noisy upward only).
+inline double min_of(const std::vector<double>& v) {
+  return *std::min_element(v.begin(), v.end());
+}
+
+// Minimal JSON array-of-objects writer for the BENCH_*.json baselines; every
+// record is flat numerics.  close() finishes the file early (before a
+// --check-baseline diff reads it back); otherwise the destructor does.
+class JsonDump {
+ public:
+  explicit JsonDump(const char* path) : f_(std::fopen(path, "w")) {
+    if (f_) std::fprintf(f_, "[\n");
+  }
+  ~JsonDump() { close(); }
+  JsonDump(const JsonDump&) = delete;
+  JsonDump& operator=(const JsonDump&) = delete;
+
+  void close() {
+    if (f_) {
+      std::fprintf(f_, "\n]\n");
+      std::fclose(f_);
+      f_ = nullptr;
+    }
+  }
+  void record(const std::string& sweep,
+              const std::vector<std::pair<std::string, double>>& fields) {
+    if (!f_) return;
+    std::fprintf(f_, "%s  {\"sweep\": \"%s\"", first_ ? "" : ",\n", sweep.c_str());
+    for (const auto& [k, v] : fields) {
+      std::fprintf(f_, ", \"%s\": %.6g", k.c_str(), v);
+    }
+    std::fprintf(f_, "}");
+    first_ = false;
+  }
+
+ private:
+  std::FILE* f_;
+  bool first_ = true;
+};
+
+// --check-baseline FILE [--threshold PCT]: the regression watchdog of the
+// BENCH_*.json benches.  Every other argument is kept in `rest` (after
+// argv[0]) for parse_flags.
+struct BaselineCheck {
+  std::string path;  // "" = no check requested
+  double threshold_pct = 5.0;
+  std::vector<char*> rest;
+
+  // Diff the freshly written `fresh` file against the baseline and print the
+  // report.  True when no check was requested or nothing regressed.
+  bool passes(const char* fresh) const {
+    if (path.empty()) return true;
+    const scope::BaselineDiff d = scope::check_baseline_files(path, fresh, threshold_pct);
+    scope::render_baseline_diff(std::cout, d, threshold_pct);
+    return d.ok();
+  }
+};
+
+inline BaselineCheck parse_baseline_flags(int argc, char** argv) {
+  BaselineCheck b;
+  b.rest.push_back(argv[0]);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
+      b.path = argv[++i];
+    } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
+      b.threshold_pct = std::stod(argv[++i]);
+    } else {
+      b.rest.push_back(argv[i]);
+    }
+  }
+  return b;
 }
 
 }  // namespace dcr::bench

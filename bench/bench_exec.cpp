@@ -18,18 +18,14 @@
 //
 // --check-baseline FILE [--threshold PCT]: regression watchdog against the
 // committed baseline, as in bench_prof / bench_scope.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/stencil.hpp"
 #include "bench/bench_common.hpp"
 #include "exec/thread_runtime.hpp"
-#include "scope/baseline.hpp"
 
 namespace {
 
@@ -69,53 +65,11 @@ RunResult run(std::uint32_t slots) {
   return r;
 }
 
-// Minimal JSON array-of-objects writer; every record is flat numerics.
-class JsonDump {
- public:
-  explicit JsonDump(const char* path) : f_(std::fopen(path, "w")) {
-    if (f_) std::fprintf(f_, "[\n");
-  }
-  ~JsonDump() { close(); }
-  void close() {
-    if (f_) {
-      std::fprintf(f_, "\n]\n");
-      std::fclose(f_);
-      f_ = nullptr;
-    }
-  }
-  void record(const std::string& sweep,
-              const std::vector<std::pair<std::string, double>>& fields) {
-    if (!f_) return;
-    std::fprintf(f_, "%s  {\"sweep\": \"%s\"", first_ ? "" : ",\n", sweep.c_str());
-    for (const auto& [k, v] : fields) {
-      std::fprintf(f_, ", \"%s\": %.6g", k.c_str(), v);
-    }
-    std::fprintf(f_, "}");
-    first_ = false;
-  }
-
- private:
-  std::FILE* f_;
-  bool first_ = true;
-};
-
-double min_of(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  double threshold_pct = 5.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold_pct = std::stod(argv[++i]);
-    }
-  }
-  JsonDump json("BENCH_exec.json");
+  const bench::BaselineCheck baseline = bench::parse_baseline_flags(argc, argv);
+  bench::JsonDump json("BENCH_exec.json");
   bench::header("Exec", "threads backend strong scaling (stencil, 64 shard threads)",
                 "wall time falls as the compute-slot cap rises; speedup(1->8) > 1.5x");
   int rc = 0;
@@ -136,10 +90,10 @@ int main(int argc, char** argv) {
   table.add_series("wall_ms");
   table.add_series("speedup");
   table.add_series("efficiency");
-  const double base_ms = min_of(wall[0]);
+  const double base_ms = bench::min_of(wall[0]);
   double speedup_8 = 0;
   for (std::size_t i = 0; i < std::size(kSlots); ++i) {
-    const double ms = min_of(wall[i]);
+    const double ms = bench::min_of(wall[i]);
     const double speedup = base_ms / ms;
     const double efficiency = speedup / static_cast<double>(kSlots[i]);
     if (kSlots[i] == 8) speedup_8 = speedup;
@@ -168,11 +122,6 @@ int main(int argc, char** argv) {
   json.close();
   std::printf("  wrote BENCH_exec.json\n");
 
-  if (!baseline_path.empty()) {
-    const scope::BaselineDiff d =
-        scope::check_baseline_files(baseline_path, "BENCH_exec.json", threshold_pct);
-    scope::render_baseline_diff(std::cout, d, threshold_pct);
-    if (!d.ok()) rc = 1;
-  }
+  if (!baseline.passes("BENCH_exec.json")) rc = 1;
   return rc;
 }

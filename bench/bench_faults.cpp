@@ -19,15 +19,12 @@
 // committed baseline, as in bench_prof/bench_scope (wall-clock keys are
 // excluded; virtual-time results are deterministic and compare exactly).
 #include <cstdio>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/stencil.hpp"
 #include "bench/bench_common.hpp"
 #include "dcr/runtime.hpp"
-#include "scope/baseline.hpp"
 #include "sim/fault.hpp"
 
 namespace {
@@ -65,37 +62,7 @@ RunResult run(std::size_t shards, sim::FaultConfig fcfg, bool with_plan) {
   return r;
 }
 
-// Minimal JSON array-of-objects writer; every record is flat numerics.
-class JsonDump {
- public:
-  explicit JsonDump(const char* path) : f_(std::fopen(path, "w")) {
-    if (f_) std::fprintf(f_, "[\n");
-  }
-  ~JsonDump() { close(); }
-  void close() {
-    if (f_) {
-      std::fprintf(f_, "\n]\n");
-      std::fclose(f_);
-      f_ = nullptr;
-    }
-  }
-  void record(const std::string& sweep,
-              const std::vector<std::pair<std::string, double>>& fields) {
-    if (!f_) return;
-    std::fprintf(f_, "%s  {\"sweep\": \"%s\"", first_ ? "" : ",\n", sweep.c_str());
-    for (const auto& [k, v] : fields) {
-      std::fprintf(f_, ", \"%s\": %.6g", k.c_str(), v);
-    }
-    std::fprintf(f_, "}");
-    first_ = false;
-  }
-
- private:
-  std::FILE* f_;
-  bool first_ = true;
-};
-
-void sweep_drop_rate(JsonDump& json) {
+void sweep_drop_rate(bench::JsonDump& json) {
   bench::header("Faults A", "retry overhead vs message drop rate (stencil)",
                 "overhead grows with drop rate; zero drops == zero overhead");
   for (std::size_t shards : kShardCounts) {
@@ -139,7 +106,7 @@ void sweep_drop_rate(JsonDump& json) {
   }
 }
 
-void sweep_recovery(JsonDump& json) {
+void sweep_recovery(bench::JsonDump& json) {
   bench::header("Faults B", "recovery latency after one shard crash (stencil)",
                 "detection bounded by lease timeout + probe budget; replay cost grows "
                 "with committed prefix");
@@ -187,30 +154,14 @@ void sweep_recovery(JsonDump& json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  double threshold_pct = 5.0;
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold_pct = std::stod(argv[++i]);
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  g_flags = bench::parse_flags(static_cast<int>(rest.size()), rest.data());
-  JsonDump json("BENCH_faults.json");
+  bench::BaselineCheck baseline = bench::parse_baseline_flags(argc, argv);
+  g_flags = bench::parse_flags(static_cast<int>(baseline.rest.size()), baseline.rest.data());
+  bench::JsonDump json("BENCH_faults.json");
   sweep_drop_rate(json);
   sweep_recovery(json);
   json.close();
   std::printf("\nwrote BENCH_faults.json\n");
 
-  if (!baseline_path.empty()) {
-    const scope::BaselineDiff d = scope::check_baseline_files(
-        baseline_path, "BENCH_faults.json", threshold_pct);
-    scope::render_baseline_diff(std::cout, d, threshold_pct);
-    return d.ok() ? 0 : 1;
-  }
+  return baseline.passes("BENCH_faults.json") ? 0 : 1;
   return 0;
 }

@@ -20,15 +20,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/stencil.hpp"
 #include "bench/bench_common.hpp"
 #include "dcr/runtime.hpp"
-#include "scope/baseline.hpp"
 #include "spy/trace.hpp"
 
 namespace {
@@ -79,40 +76,6 @@ RunResult run(bool profile, bool record_trace) {
   return r;
 }
 
-// Minimal JSON array-of-objects writer; every record is flat numerics.
-class JsonDump {
- public:
-  explicit JsonDump(const char* path) : f_(std::fopen(path, "w")) {
-    if (f_) std::fprintf(f_, "[\n");
-  }
-  ~JsonDump() { close(); }
-  void close() {
-    if (f_) {
-      std::fprintf(f_, "\n]\n");
-      std::fclose(f_);
-      f_ = nullptr;
-    }
-  }
-  void record(const std::string& sweep,
-              const std::vector<std::pair<std::string, double>>& fields) {
-    if (!f_) return;
-    std::fprintf(f_, "%s  {\"sweep\": \"%s\"", first_ ? "" : ",\n", sweep.c_str());
-    for (const auto& [k, v] : fields) {
-      std::fprintf(f_, ", \"%s\": %.6g", k.c_str(), v);
-    }
-    std::fprintf(f_, "}");
-    first_ = false;
-  }
-
- private:
-  std::FILE* f_;
-  bool first_ = true;
-};
-
-double min_of(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
-}
-
 double median_of(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
@@ -121,16 +84,8 @@ double median_of(std::vector<double> v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  double threshold_pct = 5.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold_pct = std::stod(argv[++i]);
-    }
-  }
-  JsonDump json("BENCH_prof.json");
+  const bench::BaselineCheck baseline = bench::parse_baseline_flags(argc, argv);
+  bench::JsonDump json("BENCH_prof.json");
   bench::header("Prof", "dcr-prof overhead (stencil, 64 shards, templates on)",
                 "profile-on wall time within 5% of profile-off; identical makespan; "
                 "fence ledger matches the spy trace");
@@ -155,7 +110,7 @@ int main(int argc, char** argv) {
       rc = 1;
     }
   }
-  const double off_min = min_of(wall_off), on_min = min_of(wall_on);
+  const double off_min = bench::min_of(wall_off), on_min = bench::min_of(wall_on);
   const double overhead_pct = (on_min - off_min) / off_min * 100.0;
 
   bench::Table table("reps");
@@ -210,11 +165,6 @@ int main(int argc, char** argv) {
   json.close();
   std::printf("\nwrote BENCH_prof.json\n");
 
-  if (!baseline_path.empty()) {
-    const scope::BaselineDiff d = scope::check_baseline_files(
-        baseline_path, "BENCH_prof.json", threshold_pct);
-    scope::render_baseline_diff(std::cout, d, threshold_pct);
-    if (!d.ok()) rc = 1;
-  }
+  if (!baseline.passes("BENCH_prof.json")) rc = 1;
   return rc;
 }

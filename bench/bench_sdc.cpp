@@ -22,18 +22,14 @@
 // Results go to BENCH_sdc.json; exit 1 on any violation.
 // --check-baseline FILE [--threshold PCT]: regression watchdog against the
 // committed baseline, as in bench_prof/bench_scope.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/stencil.hpp"
 #include "bench/bench_common.hpp"
 #include "dcr/runtime.hpp"
-#include "scope/baseline.hpp"
 #include "sim/fault.hpp"
 #include "spy/verify.hpp"
 
@@ -80,41 +76,7 @@ RunResult run(bool replicate, double sdc_rate, std::uint64_t seed,
   return r;
 }
 
-// Minimal JSON array-of-objects writer; every record is flat numerics.
-class JsonDump {
- public:
-  explicit JsonDump(const char* path) : f_(std::fopen(path, "w")) {
-    if (f_) std::fprintf(f_, "[\n");
-  }
-  ~JsonDump() { close(); }
-  void close() {
-    if (f_) {
-      std::fprintf(f_, "\n]\n");
-      std::fclose(f_);
-      f_ = nullptr;
-    }
-  }
-  void record(const std::string& sweep,
-              const std::vector<std::pair<std::string, double>>& fields) {
-    if (!f_) return;
-    std::fprintf(f_, "%s  {\"sweep\": \"%s\"", first_ ? "" : ",\n", sweep.c_str());
-    for (const auto& [k, v] : fields) {
-      std::fprintf(f_, ", \"%s\": %.6g", k.c_str(), v);
-    }
-    std::fprintf(f_, "}");
-    first_ = false;
-  }
-
- private:
-  std::FILE* f_;
-  bool first_ = true;
-};
-
-double min_of(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
-}
-
-int sweep_overhead(JsonDump& json) {
+int sweep_overhead(bench::JsonDump& json) {
   bench::header("SDC A", "replication overhead, zero faults (stencil, 64 shards)",
                 "only the control-tainted residual chain is duplicated: "
                 "makespan overhead <= 10%");
@@ -165,12 +127,12 @@ int sweep_overhead(JsonDump& json) {
                {"tainted_ops", static_cast<double>(last_on.sdc_tainted_ops)},
                {"tickets", static_cast<double>(last_on.sdc_tickets)},
                {"replicas_issued", static_cast<double>(last_on.sdc_replicas_issued)},
-               {"wall_off_ms_min", min_of(wall_off)},
-               {"wall_on_ms_min", min_of(wall_on)}});
+               {"wall_off_ms_min", bench::min_of(wall_off)},
+               {"wall_on_ms_min", bench::min_of(wall_on)}});
   return rc;
 }
 
-int sweep_detection(JsonDump& json) {
+int sweep_detection(bench::JsonDump& json) {
   bench::header("SDC B", "detection + healing under seeded injection",
                 ">= 99% of injected corruptions detected and healed; no "
                 "determinism-violation aborts");
@@ -232,7 +194,7 @@ int sweep_detection(JsonDump& json) {
   return rc;
 }
 
-int sweep_equivalence(JsonDump& json) {
+int sweep_equivalence(bench::JsonDump& json) {
   bench::header("SDC C", "task-graph equivalence (spy audit)",
                 "replication on — even while healing corruption — realizes "
                 "exactly the replication-off task graph");
@@ -269,16 +231,8 @@ int sweep_equivalence(JsonDump& json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  double threshold_pct = 5.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold_pct = std::stod(argv[++i]);
-    }
-  }
-  JsonDump json("BENCH_sdc.json");
+  const bench::BaselineCheck baseline = bench::parse_baseline_flags(argc, argv);
+  bench::JsonDump json("BENCH_sdc.json");
   int rc = 0;
   rc |= sweep_overhead(json);
   rc |= sweep_detection(json);
@@ -286,11 +240,6 @@ int main(int argc, char** argv) {
   json.close();
   std::printf("\nwrote BENCH_sdc.json\n");
 
-  if (!baseline_path.empty()) {
-    const scope::BaselineDiff d = scope::check_baseline_files(
-        baseline_path, "BENCH_sdc.json", threshold_pct);
-    scope::render_baseline_diff(std::cout, d, threshold_pct);
-    if (!d.ok()) rc = 1;
-  }
+  if (!baseline.passes("BENCH_sdc.json")) rc = 1;
   return rc;
 }

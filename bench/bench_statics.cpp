@@ -23,8 +23,6 @@
 // committed baseline, as in bench_prof/bench_scope/bench_sdc.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -32,7 +30,6 @@
 #include "bench/bench_common.hpp"
 #include "dcr/runtime.hpp"
 #include "prof/profiler.hpp"
-#include "scope/baseline.hpp"
 #include "spy/verify.hpp"
 
 namespace {
@@ -82,37 +79,7 @@ RunResult run(bool statics_on, bool use_trace, bool check = false,
   return r;
 }
 
-// Minimal JSON array-of-objects writer; every record is flat numerics.
-class JsonDump {
- public:
-  explicit JsonDump(const char* path) : f_(std::fopen(path, "w")) {
-    if (f_) std::fprintf(f_, "[\n");
-  }
-  ~JsonDump() { close(); }
-  void close() {
-    if (f_) {
-      std::fprintf(f_, "\n]\n");
-      std::fclose(f_);
-      f_ = nullptr;
-    }
-  }
-  void record(const std::string& sweep,
-              const std::vector<std::pair<std::string, double>>& fields) {
-    if (!f_) return;
-    std::fprintf(f_, "%s  {\"sweep\": \"%s\"", first_ ? "" : ",\n", sweep.c_str());
-    for (const auto& [k, v] : fields) {
-      std::fprintf(f_, ", \"%s\": %.6g", k.c_str(), v);
-    }
-    std::fprintf(f_, "}");
-    first_ = false;
-  }
-
- private:
-  std::FILE* f_;
-  bool first_ = true;
-};
-
-int sweep_fine_cost(JsonDump& json) {
+int sweep_fine_cost(bench::JsonDump& json) {
   bench::header("STATICS A", "fine-analysis cost, untraced (stencil, 64 shards)",
                 "proven launches charge O(1) fine analysis: "
                 "FineAnalysisNs must drop >= 2x with identical decisions");
@@ -176,7 +143,7 @@ int sweep_fine_cost(JsonDump& json) {
   return rc;
 }
 
-int sweep_equivalence(JsonDump& json) {
+int sweep_equivalence(bench::JsonDump& json) {
   bench::header("STATICS B", "task-graph equivalence (spy audit + oracle)",
                 "statics on realizes exactly the statics-off task graph; the "
                 "paranoid enumerated oracle accepts every verdict");
@@ -206,7 +173,7 @@ int sweep_equivalence(JsonDump& json) {
   return rc;
 }
 
-int sweep_traced(JsonDump& json) {
+int sweep_traced(bench::JsonDump& json) {
   bench::header("STATICS C", "template interplay, traced",
                 "replays keep their own reduced costs (no double discount); "
                 "statics still pays off on capture/validate iterations");
@@ -245,16 +212,8 @@ int sweep_traced(JsonDump& json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  double threshold_pct = 5.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold_pct = std::stod(argv[++i]);
-    }
-  }
-  JsonDump json("BENCH_statics.json");
+  const bench::BaselineCheck baseline = bench::parse_baseline_flags(argc, argv);
+  bench::JsonDump json("BENCH_statics.json");
   int rc = 0;
   rc |= sweep_fine_cost(json);
   rc |= sweep_equivalence(json);
@@ -262,11 +221,6 @@ int main(int argc, char** argv) {
   json.close();
   std::printf("\nwrote BENCH_statics.json\n");
 
-  if (!baseline_path.empty()) {
-    const scope::BaselineDiff d = scope::check_baseline_files(
-        baseline_path, "BENCH_statics.json", threshold_pct);
-    scope::render_baseline_diff(std::cout, d, threshold_pct);
-    if (!d.ok()) rc = 1;
-  }
+  if (!baseline.passes("BENCH_statics.json")) rc = 1;
   return rc;
 }

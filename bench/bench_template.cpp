@@ -46,38 +46,10 @@ double per_iter_us(std::size_t shards, bool templates, bool* ok) {
   return delta / static_cast<double>(kBaseSteps) / 1000.0;  // ns -> us
 }
 
-// Minimal JSON array-of-objects writer; every record is flat numerics.
-class JsonDump {
- public:
-  explicit JsonDump(const char* path) : f_(std::fopen(path, "w")) {
-    if (f_) std::fprintf(f_, "[\n");
-  }
-  ~JsonDump() {
-    if (f_) {
-      std::fprintf(f_, "\n]\n");
-      std::fclose(f_);
-    }
-  }
-  void record(const std::string& sweep,
-              const std::vector<std::pair<std::string, double>>& fields) {
-    if (!f_) return;
-    std::fprintf(f_, "%s  {\"sweep\": \"%s\"", first_ ? "" : ",\n", sweep.c_str());
-    for (const auto& [k, v] : fields) {
-      std::fprintf(f_, ", \"%s\": %.6g", k.c_str(), v);
-    }
-    std::fprintf(f_, "}");
-    first_ = false;
-  }
-
- private:
-  std::FILE* f_;
-  bool first_ = true;
-};
-
 }  // namespace
 
 int main() {
-  JsonDump json("BENCH_template.json");
+  bench::JsonDump json("BENCH_template.json");
   bench::header("Template", "steady-state per-iteration analysis time (stencil)",
                 "validated templates replay recorded decisions and skip "
                 "re-analysis; expect >= 3x at 64 shards");

@@ -19,15 +19,12 @@
 // hand-windowed speedup at 64 shards.  Results go to BENCH_traceid.json;
 // --check-baseline FILE diffs a fresh run against the committed baseline.
 #include <cstdio>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/stencil.hpp"
 #include "bench/bench_common.hpp"
 #include "dcr/runtime.hpp"
-#include "scope/baseline.hpp"
 
 namespace {
 
@@ -71,49 +68,11 @@ double per_iter_us(std::size_t shards, Mode mode, bool* ok, core::DcrStats* big)
   return delta / static_cast<double>(kBaseSteps) / 1000.0;  // ns -> us
 }
 
-// Minimal JSON array-of-objects writer; every record is flat numerics.
-class JsonDump {
- public:
-  explicit JsonDump(const char* path) : f_(std::fopen(path, "w")) {
-    if (f_) std::fprintf(f_, "[\n");
-  }
-  ~JsonDump() { close(); }
-  void record(const std::string& sweep,
-              const std::vector<std::pair<std::string, double>>& fields) {
-    if (!f_) return;
-    std::fprintf(f_, "%s  {\"sweep\": \"%s\"", first_ ? "" : ",\n", sweep.c_str());
-    for (const auto& [k, v] : fields) {
-      std::fprintf(f_, ", \"%s\": %.6g", k.c_str(), v);
-    }
-    std::fprintf(f_, "}");
-    first_ = false;
-  }
-  void close() {
-    if (f_) {
-      std::fprintf(f_, "\n]\n");
-      std::fclose(f_);
-      f_ = nullptr;
-    }
-  }
-
- private:
-  std::FILE* f_;
-  bool first_ = true;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  double threshold_pct = 5.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold_pct = std::stod(argv[++i]);
-    }
-  }
-  JsonDump json("BENCH_traceid.json");
+  const bench::BaselineCheck baseline = bench::parse_baseline_flags(argc, argv);
+  bench::JsonDump json("BENCH_traceid.json");
   bench::header("TraceId",
                 "auto-detected vs hand-windowed replay (phase-changing stencil)",
                 "the detector promotes the repeating phase cycle without "
@@ -173,11 +132,6 @@ int main(int argc, char** argv) {
   json.close();
   std::printf("\nwrote BENCH_traceid.json\n");
 
-  if (!baseline_path.empty()) {
-    const scope::BaselineDiff d = scope::check_baseline_files(
-        baseline_path, "BENCH_traceid.json", threshold_pct);
-    scope::render_baseline_diff(std::cout, d, threshold_pct);
-    if (!d.ok()) rc = 1;
-  }
+  if (!baseline.passes("BENCH_traceid.json")) rc = 1;
   return rc;
 }

@@ -10,54 +10,56 @@
 
 namespace dcr::core {
 
-// SigBuilder and the per-API sig_* encoders live in dcr/sig.hpp, and the op
-// model (kPointsPerOp, payloads, CoarseDecision) in dcr/ops.hpp — shared with
-// the real-threads backend so both produce identical §3 hash streams.
+// SigBuilder and the per-API sig_* encoders live in dcr/sig.hpp, the op
+// model (kPointsPerOp, payloads, CoarseDecision) in dcr/ops.hpp, and the
+// per-shard application API in dcr/front_end.hpp — shared with the
+// real-threads backend so both produce identical §3 hash streams.
 
 // ===========================================================================
-// ShardContext: the per-shard implementation of the application API.
+// ShardContext: the simulator's hooks under the shared front end.
 // ===========================================================================
-class ShardContext final : public Context {
+class ShardContext final : public ShardFrontEnd {
  public:
   ShardContext(DcrRuntime& rt, ShardId shard, sim::ProcessContext& pctx)
-      : rt_(rt), shard_(shard), pctx_(pctx), st_(rt.shard(shard)) {}
+      : ShardFrontEnd(rt.front_end_env_, rt.shard(shard)),
+        rt_(rt),
+        pctx_(pctx),
+        st_(rt.shard(shard)) {}
 
-  // Each API call charges control-program time, hashes its identity and
-  // arguments, and feeds the determinism checker (paper §3).
+  void destroy_region_deferred(RegionTreeId tree) override {
+    // GC-finalizer path: deliberately NOT hashed/checked — shards may call it
+    // at different control points; the runtime reaches consensus by polling
+    // (paper §4.3) before inserting the deletion into the analysis stream.
+    st_.deferred_requests.push_back(tree);
+    rt_.start_deferred_poller();
+  }
+
+  SimTime now() const override { return pctx_.now(); }
+
+  sim::ProcessContext& process() { return pctx_; }
+
+ private:
+  // Each API call charges control-program time and feeds the determinism
+  // checker (paper §3).
   //
   // A replacement shard re-executes the control program from the top; calls
   // below replay_calls_end were already contributed by the dead incarnation
-  // (they are in its commit log), so the replay charges only a fast-forward
-  // cost and does NOT re-arrive at the determinism collectives.  The call
-  // index sequence stays aligned with the live shards either way.
-  void api_call(const char* name, SigBuilder& sig) {
-    const Hash128 h = sig.finish();
-    st_.last_template_hash = sig.tfinish();
-    const bool replaying = st_.api_calls < st_.replay_calls_end;
-    if (replaying) {
-      // The dead incarnation already contributed this call (and its spy
-      // trace record); a replay only fast-forwards.  The template manager
-      // still sees the call so a replacement shard re-captures templates
-      // while fast-forwarding through trace windows.
+  // (they are in its commit log, with their spy trace records), so the
+  // replay charges only a fast-forward cost and does NOT re-arrive at the
+  // determinism collectives.  The front end still feeds the call to the
+  // template manager, so a replacement shard re-captures templates while
+  // fast-forwarding through trace windows.
+  bool check_call(const char* name, const Hash128& h) override {
+    if (st_.api_calls < st_.replay_calls_end) {
       pctx_.delay(rt_.config_.replay_call_cost);
-      st_.api_calls++;
-      auto_trace_observe();
-      if (rt_.config_.tracing_enabled) st_.templates.on_call(st_.last_template_hash);
-      return;
+      return false;
     }
     SimTime cost = rt_.config_.issue_cost;
     if (rt_.checker_.enabled()) cost += rt_.config_.hash_cost;
     pctx_.delay(cost);
-    rt_.checker_.record(shard_, st_.api_calls, h, name);
-    if (rt_.checker_.enabled()) stats().determinism_checks++;
-    if (rt_.trace_) {
-      rt_.trace_->calls[shard_.value].push_back(
-          {st_.api_calls, name, h, sig.take_args()});
-    }
+    rt_.checker_.record(st_.id, st_.api_calls, h, name);
+    if (rt_.checker_.enabled()) rt_.stats_.determinism_checks++;
     st_.commit.record_call(st_.api_calls);
-    st_.api_calls++;
-    auto_trace_observe();
-    if (rt_.config_.tracing_enabled) st_.templates.on_call(st_.last_template_hash);
     st_.last_heard = pctx_.now();  // lease refresh, piggybacked on API traffic
     if (st_.pending_report >= 0) {
       // First live (non-replayed) call: the replacement has caught up to the
@@ -68,350 +70,62 @@ class ShardContext final : public Context {
       // Recovery lane rather than Control: the fast-forward may straddle
       // trace-window boundaries, which would break Control-lane nesting.
       rt_.profiler_.emit({prof::SpanKind::RecoveryFastForward, prof::Lane::Recovery,
-                          shard_.value, rep.replay_started, rt_.clock_.now()});
+                          st_.id.value, rep.replay_started, rt_.clock_.now()});
       st_.pending_report = -1;
     }
+    return true;
   }
 
-  DcrStats& stats() { return rt_.stats_; }
-
-  // Whether sig_* encoders should capture named arguments for the spy trace.
-  bool cap() const { return rt_.trace_ != nullptr; }
-
-  // dcr-prof accounting for a control-program block that started at
-  // `started`: always-on wait counters + histogram, plus a Control-lane span
-  // when the timeline is enabled.  Control spans nest by construction — the
-  // control program is sequential, so a wait is either disjoint from or
-  // strictly inside an enclosing window span.
-  void prof_wait(prof::Counter waits, prof::Counter wait_ns, prof::Hist hist,
-                 prof::SpanKind kind, SimTime started) {
-    prof::Counters& pc = rt_.profiler_.shard(shard_.value);
-    const SimTime waited = rt_.clock_.now() - started;
-    pc.add(waits);
-    pc.add(wait_ns, waited);
-    pc.observe(hist, waited);
-    rt_.profiler_.emit({kind, prof::Lane::Control, shard_.value, started, rt_.clock_.now()});
+  // Replicated heap: the first shard to reach a creation makes it in the
+  // shared forest; the others read its handle.
+  const CreatedHandle* prior_creation() override {
+    if (st_.next_creation < rt_.creations_.size()) return &rt_.creations_[st_.next_creation++];
+    DCR_CHECK(st_.next_creation == rt_.creations_.size())
+        << "shard " << st_.id.value << " creation stream ran ahead";
+    return nullptr;
+  }
+  void record_creation(const CreatedHandle& handle) override {
+    rt_.creations_.push_back(handle);
+    st_.next_creation++;
   }
 
-  // ---- replication-safe creations ----
-  template <typename T, typename MakeFn>
-  T replicated_create(MakeFn&& make) {
-    if (st_.next_creation == rt_.creations_.size()) {
-      rt_.creations_.push_back({make()});
-    }
-    DCR_CHECK(st_.next_creation < rt_.creations_.size())
-        << "shard " << shard_.value << " creation stream ran ahead";
-    auto& entry = rt_.creations_[st_.next_creation++];
-    DCR_CHECK(std::holds_alternative<T>(entry.handle))
-        << "creation kind diverged across shards (control determinism violation)";
-    return std::get<T>(entry.handle);
-  }
+  void before_issue() override { rt_.insert_agreed_deletions(st_); }
+  void submit(const OpRecord& op) override { rt_.submit_op(st_, op); }
 
-  FieldSpaceId create_field_space() override {
-    SigBuilder sb = sig_create_field_space(cap());
-    api_call("create_field_space", sb);
-    return replicated_create<FieldSpaceId>([&] { return rt_.forest_.create_field_space(); });
-  }
-
-  FieldId allocate_field(FieldSpaceId fs, std::size_t bytes, std::string name) override {
-    SigBuilder sb = sig_allocate_field(cap(), fs, bytes, name);
-    api_call("allocate_field", sb);
-    return replicated_create<FieldId>(
-        [&] { return rt_.forest_.allocate_field(fs, bytes, std::move(name)); });
-  }
-
-  RegionTreeId create_region(const rt::Rect& bounds, FieldSpaceId fs) override {
-    SigBuilder sb = sig_create_region(cap(), bounds, fs);
-    api_call("create_region", sb);
-    return replicated_create<RegionTreeId>([&] { return rt_.forest_.create_tree(bounds, fs); });
-  }
-
-  IndexSpaceId root(RegionTreeId tree) override { return rt_.forest_.root(tree); }
-
-  PartitionId partition_equal(IndexSpaceId parent, std::size_t pieces, int axis) override {
-    SigBuilder sb = sig_partition_equal(cap(), parent, pieces, axis);
-    api_call("partition_equal", sb);
-    return replicated_create<PartitionId>(
-        [&] { return rt_.forest_.partition_equal(parent, pieces, axis); });
-  }
-
-  PartitionId partition_with_halo(IndexSpaceId parent, std::size_t pieces,
-                                  std::int64_t halo, int axis) override {
-    SigBuilder sb = sig_partition_with_halo(cap(), parent, pieces, halo, axis);
-    api_call("partition_with_halo", sb);
-    return replicated_create<PartitionId>(
-        [&] { return rt_.forest_.partition_with_halo(parent, pieces, halo, axis); });
-  }
-
-  PartitionId create_partition(IndexSpaceId parent, std::vector<rt::Rect> pieces,
-                               bool disjoint) override {
-    SigBuilder sb = sig_create_partition(cap(), parent, pieces, disjoint);
-    api_call("create_partition", sb);
-    return replicated_create<PartitionId>(
-        [&] { return rt_.forest_.create_partition(parent, std::move(pieces), disjoint); });
-  }
-
-  PartitionId partition_grid(IndexSpaceId parent, std::size_t tiles_x, std::size_t tiles_y,
-                             std::int64_t halo) override {
-    SigBuilder sb = sig_partition_grid(cap(), parent, tiles_x, tiles_y, halo);
-    api_call("partition_grid", sb);
-    return replicated_create<PartitionId>(
-        [&] { return rt_.forest_.partition_grid(parent, tiles_x, tiles_y, halo); });
-  }
-
-  void destroy_region(RegionTreeId tree) override {
-    SigBuilder sb = sig_destroy_region(cap(), tree);
-    api_call("destroy_region", sb);
-    rt_.issue(*this, DeletePayload{tree});
-  }
-
-  void destroy_region_deferred(RegionTreeId tree) override {
-    // GC-finalizer path: deliberately NOT hashed/checked — shards may call it
-    // at different control points; the runtime reaches consensus by polling
-    // (paper §4.3) before inserting the deletion into the analysis stream.
-    st_.deferred_requests.push_back(tree);
-    rt_.start_deferred_poller();
-  }
-
-  const rt::RegionForest& forest() const override { return rt_.forest_; }
-
-  // ---- operations ----
-  void fill(IndexSpaceId region, std::vector<FieldId> fields) override {
-    SigBuilder sb = sig_fill(cap(), region, fields);
-    api_call("fill", sb);
-    rt_.issue(*this, FillPayload{region, std::move(fields)});
-  }
-
-  Future launch(const TaskLaunch& launch) override {
-    SigBuilder sb = sig_launch(cap(), launch);
-    api_call("launch", sb);
-    TaskPayload p{launch, ~0ull};
-    Future f;
-    if (launch.wants_future) {
-      f.id = st_.next_future++;
-      p.future_id = f.id;
-    }
-    rt_.issue(*this, std::move(p));
-    return f;
-  }
-
-  FutureMap index_launch(const IndexLaunch& launch) override {
-    SigBuilder sb = sig_index_launch(cap(), launch);
-    api_call("index_launch", sb);
-    IndexPayload p{launch, ~0ull};
-    FutureMap fm;
-    if (launch.wants_futures) {
-      fm.id = st_.next_future_map++;
-      p.future_map_id = fm.id;
-    }
-    rt_.issue(*this, std::move(p));
-    return fm;
-  }
-
-  Future reduce_future_map(const FutureMap& fm, ReduceOp op) override {
-    SigBuilder sb = sig_reduce_future_map(cap(), fm, op);
-    api_call("reduce_future_map", sb);
-    DCR_CHECK(fm.valid()) << "reducing an invalid future map";
-    Future f;
-    f.id = st_.next_future++;
-    rt_.issue(*this, ReducePayload{fm.id, op, f.id});
-    return f;
-  }
-
-  double get_future(const Future& f) override {
-    SigBuilder sb = sig_get_future(cap(), f);
-    api_call("get_future", sb);
-    DCR_CHECK(f.valid()) << "waiting on an invalid future";
+  double wait_future(const Future& f, dcr::scope::TraceCtx& releaser) override {
     // Control-taint (dcr/replicate.hpp): this value is about to flow into a
     // control decision; mark the producing ops SDC-critical.
     rt_.note_control_future(f.id);
     auto it = rt_.futures_.find(f.id);
     DCR_CHECK(it != rt_.futures_.end()) << "future " << f.id << " has no producer";
-    const SimTime wait_start = rt_.clock_.now();
-    pctx_.wait(it->second.per_shard_event[shard_.value]);
-    prof_wait(prof::Counter::FutureWaits, prof::Counter::FutureWaitNs,
-              prof::Hist::FutureWaitNs, prof::SpanKind::FutureWait, wait_start);
-    if (rt_.scope_) {
-      // The collective's merged context names the contribution that released
-      // this wait last (the producing shard + span).
-      rt_.scope_->on_future_wait(shard_.value, f.id, wait_start, rt_.clock_.now(),
-                                 it->second.coll->result_ctx());
-    }
+    pctx_.wait(it->second.per_shard_event[st_.id.value]);
+    if (rt_.scope_) releaser = it->second.coll->result_ctx();
     return it->second.coll->result();
   }
 
-  bool future_is_ready(const Future& f) override {
-    // Timing-dependent by design (Figure 5): the *call* is still hashed, but
-    // the returned value may differ across shards — branching on it is the
-    // control-determinism violation the checker exists to catch.
-    SigBuilder sb = sig_future_is_ready(cap(), f);
-    api_call("future_is_ready", sb);
+  bool poll_future(const Future& f) override {
     // Polling is a control observation too: the (timing-dependent) readiness
     // bit can steer launch counts, so the producing ops are SDC-critical.
     rt_.note_control_future(f.id);
     auto it = rt_.futures_.find(f.id);
     if (it == rt_.futures_.end()) return false;
-    return it->second.per_shard_event[shard_.value].has_triggered();
+    return it->second.per_shard_event[st_.id.value].has_triggered();
   }
 
-  void execution_fence() override {
-    SigBuilder sb = sig_execution_fence(cap());
-    api_call("execution_fence", sb);
-    // A fence op forces a cross-shard pipeline barrier (its coarse decision
-    // fences on the previous op), so once our fine tail drains, every
-    // shard's launches for prior ops are registered with the quiescence
-    // tracker; then wait for all of them to complete.
-    const SimTime wait_start = rt_.clock_.now();
-    rt_.issue(*this, FencePayload{});
+  // Once our fine tail drains, every shard's launches for prior ops are
+  // registered with the quiescence tracker; then wait for all of them.
+  void drain_execution() override {
     pctx_.wait(st_.fine_tail);
     while (!rt_.quiescence_.idle()) pctx_.wait(rt_.quiescence_.idle_event());
-    rt_.profiler_.shard(shard_.value).add(prof::Counter::ExecutionFences);
-    rt_.profiler_.emit({prof::SpanKind::ExecutionFence, prof::Lane::Control, shard_.value,
-                        wait_start, rt_.clock_.now()});
   }
 
-  void attach_file(IndexSpaceId region, std::vector<FieldId> fields,
-                   std::string file) override {
-    SigBuilder sb = sig_attach_file(cap(), region, fields, file);
-    api_call("attach_file", sb);
-    AttachPayload p;
-    p.region = region;
-    p.fields = std::move(fields);
-    p.file = std::move(file);
-    rt_.issue(*this, std::move(p));
+  // Consensus deletions shift later op ids, breaking relative dep offsets,
+  // so their count joins the recovery epoch in the window key.
+  WindowEpochs window_epochs() const override {
+    return {rt_.recovery_epoch_, st_.deletions_processed};
   }
 
-  void detach_file(IndexSpaceId region, std::vector<FieldId> fields) override {
-    SigBuilder sb = sig_detach_file(cap(), region, fields);
-    api_call("detach_file", sb);
-    AttachPayload p;
-    p.region = region;
-    p.fields = std::move(fields);
-    p.detach = true;
-    rt_.issue(*this, std::move(p));
-  }
-
-  void attach_file_group(PartitionId partition, std::vector<FieldId> fields,
-                         std::string file_basename) override {
-    SigBuilder sb = sig_attach_file_group(cap(), partition, fields, file_basename);
-    api_call("attach_file_group", sb);
-    AttachPayload p;
-    p.partition = partition;
-    p.fields = std::move(fields);
-    p.file = std::move(file_basename);
-    rt_.issue(*this, std::move(p));
-  }
-
-  void detach_file_group(PartitionId partition, std::vector<FieldId> fields) override {
-    SigBuilder sb = sig_detach_file_group(cap(), partition, fields);
-    api_call("detach_file_group", sb);
-    AttachPayload p;
-    p.partition = partition;
-    p.fields = std::move(fields);
-    p.detach = true;
-    rt_.issue(*this, std::move(p));
-  }
-
-  // ---- tracing (dependence templates, dcr/template.hpp) ----
-  void begin_trace(TraceId id) override {
-    SigBuilder sb = sig_begin_trace(cap(), id);
-    api_call("begin_trace", sb);
-    if (!rt_.config_.tracing_enabled) return;
-    if (st_.auto_open) {
-      // An auto-detected window is open: the explicit window wins.  The tap
-      // in api_call usually aborted it already (the begin_trace signature
-      // breaks the repeat); this handles a begin_trace that happens to land
-      // on a matching token.
-      rt_.retire_auto_window(st_, shard_.value,
-                             "explicit begin_trace inside an auto window");
-    }
-    DCR_CHECK(!st_.templates.active()) << "nested traces are not supported";
-    // The window keys its validity on the forest mutation epoch, the runtime
-    // recovery epoch, and the count of consensus deletions this shard has
-    // folded in (insertions shift op ids, breaking relative dep offsets).
-    st_.templates.begin(id, rt_.forest_.mutation_epoch(), rt_.recovery_epoch_,
-                        st_.deletions_processed, rt_.config_.template_validation);
-    st_.windows_opened++;  // iteration tag for dcr-prof spans
-    st_.window_started = rt_.clock_.now();
-  }
-
-  void end_trace(TraceId id) override {
-    SigBuilder sb = sig_end_trace(cap(), id);
-    api_call("end_trace", sb);
-    if (!rt_.config_.tracing_enabled) return;
-    DCR_CHECK(st_.templates.active() && *st_.templates.active() == id)
-        << "mismatched end_trace";
-    close_window_accounting();
-  }
-
-  // Window hit/miss accounting + close, shared by explicit end_trace and
-  // auto-detected windows.
-  void close_window_accounting() { rt_.close_template_window(st_, shard_.value); }
-
-  // ---- automatic trace identification (dcr/trace_id.hpp) ----
-  // Per-call tap, run BEFORE the template manager records the call: on Open
-  // the window must exist so this call becomes its first op, and on
-  // Close/CloseOpen the previous window must not absorb this call.  The tap
-  // issues no API calls of its own, so auto windows are invisible to the §3
-  // determinism checker — window placement only affects per-shard analysis
-  // caching, never the decision stream.
-  void auto_trace_observe() {
-    const DcrConfig& cfg = rt_.config_;
-    if (!cfg.auto_trace.enabled || !cfg.tracing_enabled || st_.auto_stop) return;
-    // Suppress promotions while an explicit (app-keyed) window is active; the
-    // detector keeps tracking so the auto trace resumes after end_trace.
-    const bool explicit_open = st_.templates.active() && !st_.auto_open;
-    const TraceIdentifier::Result r =
-        st_.auto_tracer.observe(st_.last_template_hash, explicit_open);
-    if (explicit_open) return;  // suppressed: no actions can fire
-    switch (r.action) {
-      case TraceIdentifier::Action::None:
-        break;
-      case TraceIdentifier::Action::Open:
-        if (!st_.templates.active()) auto_open_window(r.trace);
-        break;
-      case TraceIdentifier::Action::Close:
-        auto_close_window();
-        break;
-      case TraceIdentifier::Action::CloseOpen:
-        auto_close_window();
-        auto_open_window(r.trace);
-        break;
-      case TraceIdentifier::Action::AbortClose:
-        // The repeat broke mid-period: discard the half-recorded capture so
-        // it can never validate or replay.
-        rt_.retire_auto_window(st_, shard_.value, "auto trace broke mid-period");
-        break;
-    }
-  }
-
-  void auto_open_window(TraceId id) {
-    st_.templates.begin(id, rt_.forest_.mutation_epoch(), rt_.recovery_epoch_,
-                        st_.deletions_processed, rt_.config_.template_validation);
-    st_.windows_opened++;
-    st_.window_started = rt_.clock_.now();
-    st_.auto_open = true;
-  }
-
-  void auto_close_window() {
-    // The window can already be gone (consensus deletion aborts underneath
-    // us, SDC healing invalidates mid-window): skip the accounting then.
-    if (st_.templates.active()) close_window_accounting();
-    st_.auto_open = false;
-  }
-
-  // ---- environment ----
-  std::size_t num_shards() const override { return rt_.num_shards(); }
-  ShardId shard_id() const override { return shard_; }
-  Philox4x32& rng() override { return *st_.rng; }
-  SimTime now() const override { return pctx_.now(); }
-
-  sim::ProcessContext& process() { return pctx_; }
-  ShardId shard() const { return shard_; }
-
- private:
   DcrRuntime& rt_;
-  ShardId shard_;
   sim::ProcessContext& pctx_;
   DcrRuntime::ShardState& st_;
 };
@@ -454,8 +168,9 @@ DcrRuntime::DcrRuntime(sim::Machine& machine, FunctionRegistry& functions, DcrCo
   for (std::size_t s = 0; s < shards; ++s) {
     auto st = std::make_unique<ShardState>();
     st->id = ShardId(static_cast<std::uint32_t>(s));
+    st->forest = &forest_;
+    st->shardings = &shardings_;
     st->node = placement_[s];
-    st->rng = std::make_unique<Philox4x32>(/*seed=*/0x5eed, /*stream=*/0);  // same on all shards
     shards_.push_back(std::move(st));
   }
   if (config_.record_trace) {
@@ -508,6 +223,16 @@ DcrRuntime::DcrRuntime(sim::Machine& machine, FunctionRegistry& functions, DcrCo
         machine_, profiler_, rc, static_cast<std::uint32_t>(shards), std::move(hooks));
     sdc_suspect_counts_.assign(shards, 0);
   }
+  front_end_env_ = {.profiler = &profiler_,
+                    .clock = &clock_,
+                    .projections = &projections_,
+                    .trace = trace_.get(),
+                    .scope = scope_.get(),
+                    .mapper = config_.mapper,
+                    .num_shards = shards,
+                    .tracing_enabled = config_.tracing_enabled,
+                    .template_validation = config_.template_validation,
+                    .auto_trace = config_.auto_trace.enabled};
 }
 
 DcrRuntime::~DcrRuntime() {
@@ -538,123 +263,18 @@ bool DcrRuntime::finished() const {
 // backend); these wrappers mirror DcrStats and emit the spy trace records
 // exactly once per op — gated on the analyzer's `fresh` out-param.
 
-void DcrRuntime::emit_coarse_decision(const OpRecord& op, const CoarseDecision& dec) {
-  stats_.coarse_deps += dec.deps;
-  stats_.fences_elided += dec.elided;
-  if (!dec.fence_sources.empty()) stats_.fences_inserted++;
-  if (trace_) {
-    // Ops reach here exactly once, in program order (analyzer-checked).
-    for (const spy::CoarseDepRecord& d : dec.dep_records) trace_->coarse_deps.push_back(d);
-    trace_->ops.push_back({op.id, dec.kind, op.call_index, dec.fence_sources});
-  }
-}
-
 const CoarseDecision& DcrRuntime::coarse_decision(const OpRecord& op) {
   bool fresh = false;
   const CoarseDecision& dec = coarse_.decide(op, forest_, statics_prover_, statics_ledger_,
                                              single_op_owner(op.id), &fresh);
-  if (fresh) emit_coarse_decision(op, dec);
+  if (fresh) emit_coarse_decision(op, dec, stats_, trace_.get());
   return dec;
-}
-
-// ----------------------------------------------------- dependence templates
-
-std::shared_ptr<const PointPlanList> DcrRuntime::make_point_plan(ShardId s,
-                                                                 const IndexPayload& index) {
-  const IndexLaunch& launch = index.launch;
-  const auto& points =
-      shardings_.owned_points(launch.sharding, launch.domain, num_shards(), s);
-  auto plan = std::make_shared<PointPlanList>();
-  plan->reserve(points.size());
-  for (const rt::Point& p : points) {
-    PointPlan pp;
-    pp.point = p;
-    pp.point_index = rt::linearize(launch.domain, p);
-    pp.reqs.reserve(launch.requirements.size());
-    for (const rt::GroupRequirement& gr : launch.requirements) {
-      pp.reqs.push_back(gr.concretize(forest_, projections_, p, launch.domain));
-    }
-    plan->push_back(std::move(pp));
-  }
-  return plan;
-}
-
-void DcrRuntime::capture_template_op(ShardState& st, const OpRecord& op,
-                                     const CoarseDecision& dec) {
-  TemplateOp rec;
-  rec.payload_kind = op.payload.index();
-  rec.call_hash = op.call_hash;
-  rec.kind = dec.kind;
-  rec.num_reqs = dec.num_reqs;
-  rec.summaries = dec.summaries;
-  rec.deps.reserve(dec.dep_records.size());
-  for (const spy::CoarseDepRecord& d : dec.dep_records) {
-    if (d.prev.value >= op.id.value) {
-      st.templates.abort_window("non-causal coarse dependence during capture");
-      return;
-    }
-    rec.deps.push_back({op.id.value - d.prev.value, d.prev.value, /*absolute=*/false,
-                        d.tree, d.field, d.elided});
-  }
-  rec.fences.reserve(dec.fence_sources.size());
-  for (OpId src : dec.fence_sources) {
-    rec.fences.push_back({op.id.value - src.value, src.value, /*absolute=*/false});
-  }
-  rec.plan = op.plan;
-  st.templates.record_op(std::move(rec));
-}
-
-void DcrRuntime::validate_template_op(ShardState& st, const OpRecord& op,
-                                      const CoarseDecision& dec) {
-  TemplateOp& rec = *op.trec;
-  auto fail = [&](const char* what) {
-    st.templates.validation_failed(std::string("shadow compare mismatch at op ") +
-                                   std::to_string(op.id.value) + ": " + what);
-  };
-  if (!(rec.call_hash == op.call_hash)) return fail("API-call identity");
-  if (rec.kind != dec.kind) return fail("op kind");
-  if (rec.num_reqs != dec.num_reqs) return fail("requirement count");
-  if (rec.summaries != dec.summaries) return fail("requirement summaries");
-  if (rec.deps.size() != dec.dep_records.size()) return fail("coarse dependence count");
-  for (std::size_t i = 0; i < rec.deps.size(); ++i) {
-    const spy::CoarseDepRecord& d = dec.dep_records[i];
-    TemplateDep& rd = rec.deps[i];
-    if (rd.tree != d.tree || rd.field != d.field || rd.elided != d.elided) {
-      return fail("coarse dependences / elision verdicts");
-    }
-    // Resolve which source encoding survived an iteration: per-iteration
-    // sources keep their relative offset; fixed ops (an init fill issued
-    // before the loop) keep their absolute id.
-    if (rd.prev_offset == op.id.value - d.prev.value) {
-      rd.absolute = false;
-    } else if (rd.abs_source == d.prev.value) {
-      rd.absolute = true;
-    } else {
-      return fail("coarse dependence source");
-    }
-  }
-  if (rec.fences.size() != dec.fence_sources.size()) return fail("fence count");
-  for (std::size_t i = 0; i < rec.fences.size(); ++i) {
-    const OpId src = dec.fence_sources[i];
-    TemplateFence& rf = rec.fences[i];
-    if (rf.prev_offset == op.id.value - src.value) {
-      rf.absolute = false;
-    } else if (rf.abs_source == src.value) {
-      rf.absolute = true;
-    } else {
-      return fail("fence sources");
-    }
-  }
-  const PointPlanList empty;
-  const PointPlanList& fresh_plan = op.plan ? *op.plan : empty;
-  const PointPlanList& stored_plan = rec.plan ? *rec.plan : empty;
-  if (!(fresh_plan == stored_plan)) return fail("fine-stage point plan");
 }
 
 const CoarseDecision& DcrRuntime::install_replayed_decision(const OpRecord& op) {
   bool fresh = false;
   const CoarseDecision& dec = coarse_.install_replayed(op, statics_ledger_, &fresh);
-  if (fresh) emit_coarse_decision(op, dec);
+  if (fresh) emit_coarse_decision(op, dec, stats_, trace_.get());
   return dec;
 }
 
@@ -724,9 +344,9 @@ DcrRuntime::FenceRecord& DcrRuntime::fence_for(OpId dependent) {
 
 // ----------------------------------------------------------------- issuing
 
-void DcrRuntime::issue(ShardContext& ctx, OpPayload payload) {
-  ShardState& st = shard(ctx.shard());
-  // Consensus-agreed deferred deletions scheduled at this op index run first.
+// Consensus-agreed deferred deletions scheduled at this shard's next op
+// index run before the op the front end is about to issue.
+void DcrRuntime::insert_agreed_deletions(ShardState& st) {
   while (true) {
     auto it = agreed_insertions_.find(st.next_op);
     if (it == agreed_insertions_.end()) break;
@@ -738,24 +358,12 @@ void DcrRuntime::issue(ShardContext& ctx, OpPayload payload) {
     OpRecord del{OpId(st.next_op), OpPayload(it->second), false};
     st.next_op++;
     st.deletions_processed++;
-    commit_op(ctx.shard(), del);
+    commit_op(st.id, del);
   }
+}
 
-  OpRecord op{OpId(st.next_op++), std::move(payload), false};
-  // The API call that issued this op was hashed just before issue().
-  if (st.api_calls > 0) op.call_index = st.api_calls - 1;
+void DcrRuntime::submit_op(ShardState& st, const OpRecord& op) {
   stats_.ops_issued = std::max(stats_.ops_issued, st.next_op);
-
-  // Mapper query: "Legion queries mappers to select a sharding function for
-  // each subtask launch" (§4).  Deterministic, so every shard rewrites the
-  // launch identically.
-  if (config_.mapper) {
-    if (auto* index = std::get_if<IndexPayload>(&op.payload)) {
-      index->launch.sharding =
-          config_.mapper->select_sharding(index->launch, num_shards());
-    }
-  }
-
   // Futures are created eagerly at issue so the control program can wait on
   // them before any shard's fine stage has reached the producing op.
   if (const auto* task = std::get_if<TaskPayload>(&op.payload)) {
@@ -778,54 +386,9 @@ void DcrRuntime::issue(ShardContext& ctx, OpPayload payload) {
     taint_.note_reduce(red->future_id, op.id.value, red->fm_id);
   }
 
-  // Dependence templates (dcr/template.hpp): capture this op's decisions or
-  // replay the recorded ones, per the window's mode.
-  if (st.templates.active()) {
-    op.call_hash = st.last_template_hash;
-    switch (st.templates.mode()) {
-      case TemplateManager::Mode::Capture:
-        op.tmode = TemplateManager::Mode::Capture;
-        if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-          op.plan = make_point_plan(ctx.shard(), *index);
-        }
-        break;
-      case TemplateManager::Mode::Validate: {
-        // Fresh analysis still drives execution; decisions are shadow-compared
-        // against the recording in validate_template_op().
-        TemplateOp* rec = st.templates.next_op();
-        if (rec == nullptr) break;  // window just aborted
-        if (rec->payload_kind != op.payload.index()) {
-          st.templates.abort_window("op payload kind diverged from the recording");
-          break;
-        }
-        op.tmode = TemplateManager::Mode::Validate;
-        op.trec = rec;
-        if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-          op.plan = make_point_plan(ctx.shard(), *index);
-        }
-        break;
-      }
-      case TemplateManager::Mode::Replay: {
-        TemplateOp* rec = st.templates.next_op();
-        if (rec == nullptr) break;
-        if (rec->payload_kind != op.payload.index() || !(rec->call_hash == op.call_hash)) {
-          st.templates.abort_window("op identity diverged from the recording");
-          break;
-        }
-        op.tmode = TemplateManager::Mode::Replay;
-        op.trec = rec;
-        op.plan = rec->plan;
-        op.traced = true;  // charge the reduced analysis costs
-        // A replayed (recovery) op re-derives template state without re-counting.
-        if (op.id.value >= st.replay_ops_end) stats_.traced_ops++;
-        break;
-      }
-      case TemplateManager::Mode::Inactive:
-        break;
-    }
-  }
-
-  commit_op(ctx.shard(), op);
+  // A replayed (recovery) op re-derives template state without re-counting.
+  if (op.traced && op.id.value >= st.replay_ops_end) stats_.traced_ops++;
+  commit_op(st.id, op);
 }
 
 // Replay-aware dispatch: the dead incarnation's committed ops already did
@@ -843,10 +406,7 @@ void DcrRuntime::commit_op(ShardId s, const OpRecord& op) {
     if (op.tmode == TemplateManager::Mode::Capture ||
         op.tmode == TemplateManager::Mode::Validate) {
       if (const CoarseDecision* dec = coarse_.find(op.id)) {
-        if (op.tmode == TemplateManager::Mode::Validate) {
-          validate_template_op(st, op, *dec);
-        }
-        capture_template_op(st, op, *dec);
+        st.record_template_op(op, *dec);
       } else {
         st.templates.abort_window("committed op has no cached coarse decision");
       }
@@ -868,18 +428,10 @@ void DcrRuntime::process_op(ShardId s, const OpRecord& op) {
   // Replayed ops had their recorded decision installed by commit_op, so this
   // lookup hits the cache and skips the conflict scans entirely.
   const CoarseDecision& dec = coarse_decision(op);
-  if (op.tmode == TemplateManager::Mode::Capture) {
-    capture_template_op(st, op, dec);
-  } else if (op.tmode == TemplateManager::Mode::Validate) {
-    validate_template_op(st, op, dec);
-    // Also feed the shadow re-recording that replaces the stored template if
-    // the compare above mismatched (record_op routes by mode).
-    capture_template_op(st, op, dec);
-  }
+  st.record_template_op(op, dec);
 
   // Iteration tag for spans: the trace window this op falls into, if any.
-  const std::uint64_t prof_iter =
-      st.templates.active().has_value() ? st.windows_opened - 1 : prof::kNoId;
+  const std::uint64_t prof_iter = st.prof_iter();
   prof::Counters& pc = profiler_.shard(s.value);
 
   // ---- coarse stage cost (Figure 9 top): independent of group size ----
@@ -941,24 +493,7 @@ void DcrRuntime::process_op(ShardId s, const OpRecord& op) {
   }
 
   // ---- fine stage cost (Figure 9 bottom): proportional to owned points ----
-  std::uint64_t owned = 0;
-  if (op.plan) {
-    // Captured or replayed fine-stage mapping: the owned-point set is the
-    // plan itself (no sharding-function enumeration needed on replay).
-    owned = op.plan->size();
-  } else if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-    owned = shardings_
-                .owned_points(index->launch.sharding, index->launch.domain, num_shards(), s)
-                .size();
-  } else if (const auto* attach = std::get_if<AttachPayload>(&op.payload);
-             attach && attach->partition.valid()) {
-    const rt::Rect dom = rt::Rect::r1(
-        0, static_cast<std::int64_t>(forest_.num_subregions(attach->partition)) - 1);
-    owned = shardings_.owned_points(ShardingRegistry::blocked(), dom, num_shards(), s).size();
-  } else if (!std::holds_alternative<ReducePayload>(op.payload) &&
-             !std::holds_alternative<FencePayload>(op.payload)) {
-    owned = (single_op_owner(op.id) == s) ? 1 : 0;
-  }
+  const std::uint64_t owned = st.owned_points(op, num_shards());
   // Static skip (src/statics): a launch whose interference the prover fully
   // resolved needs no per-point fine-stage discrimination — the affine forms
   // predetermine every point's outcome — so the per-point charge collapses to
@@ -1031,29 +566,13 @@ void DcrRuntime::execute_points(ShardId s, const OpRecord& op) {
       }
     }
     std::vector<sim::Event> completions;
-    if (op.plan) {
-      // Template path: the per-point projection results were recorded at
-      // capture, so the replay touches neither the forest nor the projection
-      // registry.
-      for (const PointPlan& pp : *op.plan) {
-        completions.push_back(launch_point_task(s, op, pp.point, pp.point_index, pp.reqs,
-                                                launch.args, launch.fn,
-                                                index->future_map_id));
-      }
-    } else {
-      const auto& points =
-          shardings_.owned_points(launch.sharding, launch.domain, num_shards(), s);
-      for (const rt::Point& p : points) {
-        std::vector<rt::Requirement> reqs;
-        reqs.reserve(launch.requirements.size());
-        for (const rt::GroupRequirement& gr : launch.requirements) {
-          reqs.push_back(gr.concretize(forest_, projections_, p, launch.domain));
-        }
-        const std::uint64_t point_index = rt::linearize(launch.domain, p);
-        completions.push_back(launch_point_task(s, op, p, point_index, reqs, launch.args,
-                                                launch.fn, index->future_map_id));
-      }
-    }
+    st.for_each_owned_point(
+        launch, op.plan.get(), projections_, num_shards(),
+        [&](const rt::Point& p, std::uint64_t point_index,
+            const std::vector<rt::Requirement>& reqs) {
+          completions.push_back(launch_point_task(s, op, p, point_index, reqs, launch.args,
+                                                  launch.fn, index->future_map_id));
+        });
     if (fm) {
       fm->shard_values_ready[s.value] = completions.empty()
                                             ? sim::Event::no_event()
@@ -1350,28 +869,6 @@ void DcrRuntime::note_control_future(std::uint64_t future_id) {
   }
 }
 
-void DcrRuntime::close_template_window(ShardState& st, std::size_t shard_idx) {
-  prof::Counters& pc = profiler_.shard(shard_idx);
-  pc.add(prof::Counter::WindowsClosed);
-  pc.add(st.templates.mode() == TemplateManager::Mode::Replay
-             ? prof::Counter::TemplateWindowHits
-             : prof::Counter::TemplateWindowMisses);
-  st.templates.end(forest_);
-  profiler_.emit({prof::SpanKind::TraceWindow, prof::Lane::Control, st.id.value,
-                  st.window_started, clock_.now(), prof::kNoId,
-                  st.windows_opened - 1});
-}
-
-void DcrRuntime::retire_auto_window(ShardState& st, std::size_t shard_idx,
-                                    const char* reason) {
-  if (st.templates.active()) {
-    st.templates.abort_window(reason);  // no-op if already aborted underneath
-    close_template_window(st, shard_idx);
-  }
-  st.auto_open = false;
-  st.auto_tracer.interrupt();
-}
-
 void DcrRuntime::on_corruption_healed(OpId op, bool traced, const QuorumOutcome& out) {
   if (config_.sdc_invalidate_templates) {
     // The corrupted value may have been observed by control before the heal
@@ -1389,8 +886,8 @@ void DcrRuntime::on_corruption_healed(OpId op, bool traced, const QuorumOutcome&
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       ShardState& st = *shards_[i];
       if (st.auto_open) {
-        retire_auto_window(st, i,
-                           "SDC heal invalidated the template epoch mid-window");
+        st.retire_auto_window(front_end_env_,
+                              "SDC heal invalidated the template epoch mid-window");
       } else if (st.templates.active()) {
         // Explicit window: the abort leaves the slot for its end_trace.
         st.templates.abort_window("SDC heal invalidated the template epoch mid-window");
@@ -1557,16 +1054,9 @@ bool DcrRuntime::check_deferred_consensus() {
 }
 
 void DcrRuntime::finalize_shard(ShardContext& ctx) {
-  ShardState& st = shard(ctx.shard());
+  ShardState& st = shard(ctx.shard_id());
   st.main_returned = true;
-  // The control program is over: an open auto-detected window can never
-  // complete its period, so discard its capture, and gate the detector off so
-  // the finalization fence below cannot open a fresh window.
-  if (st.auto_open) {
-    retire_auto_window(st, ctx.shard().value,
-                       "control program ended inside an auto window");
-  }
-  st.auto_stop = true;
+  ctx.end_program();
   // Drain: wait until deferred consensus settles (poller observes all shards
   // done), then process any agreed insertions this shard has not reached.
   while (poller_active_ && !deferred_drained_) {
@@ -1577,7 +1067,7 @@ void DcrRuntime::finalize_shard(ShardContext& ctx) {
       OpRecord del{OpId(idx), OpPayload(payload), false};
       st.next_op = idx + 1;
       st.deletions_processed++;
-      process_op(ctx.shard(), del);
+      process_op(st.id, del);
     }
   }
   ctx.execution_fence();
@@ -1614,30 +1104,7 @@ DcrStats DcrRuntime::execute(const ApplicationMain& main) {
     stats_.analysis_busy += machine_.analysis_proc(NodeId(static_cast<std::uint32_t>(n))).busy_time();
   }
   stats_.compute_busy = machine_.total_compute_busy();
-  for (const auto& st : shards_) {
-    const TemplateManager::Counters& c = st->templates.counters();
-    stats_.templates_captured += c.captured;
-    stats_.templates_validated += c.validated;
-    stats_.template_replays += c.window_replays;
-    stats_.template_invalidations += c.invalidated;
-    stats_.template_validation_failures += c.validation_failures;
-  }
-  for (const auto& st : shards_) {
-    const TraceIdentifier::Counters& a = st->auto_tracer.counters();
-    stats_.auto_trace_detections += a.detections;
-    stats_.auto_trace_promotions += a.promotions;
-    stats_.auto_trace_demotions += a.demotions;
-    stats_.auto_trace_windows += a.windows;
-    stats_.auto_trace_aborts += a.aborts;
-    stats_.auto_trace_collisions += a.collisions;
-    prof::Counters& pc = profiler_.shard(st->id.value);
-    pc.add(prof::Counter::AutoTraceDetections, a.detections);
-    pc.add(prof::Counter::AutoTracePromotions, a.promotions);
-    pc.add(prof::Counter::AutoTraceDemotions, a.demotions);
-    pc.add(prof::Counter::AutoTraceWindows, a.windows);
-    pc.add(prof::Counter::AutoTraceAborts, a.aborts);
-    pc.add(prof::Counter::AutoTraceCollisions, a.collisions);
-  }
+  for (const auto& st : shards_) st->roll_up(stats_, profiler_);
 
   stats_.aborted = aborted_;
   stats_.abort_message = abort_message_;
@@ -1704,11 +1171,10 @@ DcrStats DcrRuntime::execute(const ApplicationMain& main) {
 
   // Mirror the end-of-run totals into the profiler's global counter bank so a
   // snapshot (tools/dcr-prof, golden traces) is self-contained: template
-  // health, transport retries, and fault/recovery history all live beside the
-  // fence/elision ledger that was maintained online.
+  // health (rolled up per shard above), transport retries, and fault/recovery
+  // history all live beside the fence/elision ledger that was maintained
+  // online.
   prof::Counters& g = profiler_.global();
-  g.add(prof::GlobalCounter::TemplateShadowMismatches, stats_.template_validation_failures);
-  g.add(prof::GlobalCounter::TemplateInvalidations, stats_.template_invalidations);
   g.add(prof::GlobalCounter::Retransmits, stats_.retransmits);
   g.add(prof::GlobalCounter::MessagesDropped, stats_.messages_dropped);
   g.add(prof::GlobalCounter::FailuresDetected, stats_.failures_detected);
@@ -1740,8 +1206,15 @@ void DcrRuntime::spawn_shard(ShardState& st) {
   st.process = &machine_.sim().spawn(
       std::move(name), [this, sp = &st](sim::ProcessContext& pctx) {
         ShardContext ctx(*this, sp->id, pctx);
-        main_(ctx);
-        finalize_shard(ctx);
+        // Fail-stop: a control program that throws aborts the run instead of
+        // unwinding out of Simulator::run().  sim::ProcessKilled is not a
+        // std::exception, so a killed shard still unwinds.
+        try {
+          main_(ctx);
+          finalize_shard(ctx);
+        } catch (const std::exception& e) {
+          abort_execution(shard_failure_message(sp->id, e.what()));
+        }
       });
 }
 
@@ -1871,7 +1344,7 @@ void DcrRuntime::start_recovery(ShardState& st) {
     st.next_future_map = 0;
     st.next_op = 0;
     st.api_calls = 0;
-    st.rng = std::make_unique<Philox4x32>(/*seed=*/0x5eed, /*stream=*/0);
+    st.rng = Philox4x32(/*seed=*/0x5eed, /*stream=*/0);
     // Failover drops every cached dependence template (ISSUE: templates are
     // rebuilt from scratch by the replacement) and bumps the runtime-wide
     // recovery epoch so live shards drop theirs at the next window begin.

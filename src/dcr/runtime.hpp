@@ -29,14 +29,13 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <variant>
 #include <vector>
 
-#include "common/philox.hpp"
 #include "common/types.hpp"
 #include "dcr/api.hpp"
 #include "dcr/coarse.hpp"
 #include "dcr/determinism.hpp"
+#include "dcr/front_end.hpp"
 #include "dcr/ops.hpp"
 #include "dcr/mapper.hpp"
 #include "dcr/recovery.hpp"
@@ -331,35 +330,18 @@ class DcrRuntime {
   friend class ShardContext;
 
   // The op model (OpRecord, payloads, CoarseDecision) lives in dcr/ops.hpp,
-  // and the coarse dependence stage in dcr/coarse.hpp — both shared with the
-  // real-threads backend (src/exec/).
+  // the coarse dependence stage in dcr/coarse.hpp, and the per-shard API
+  // front end in dcr/front_end.hpp — all shared with the real-threads
+  // backend (src/exec/).
 
   // ------------------------------------------------------------ shard state
-  struct ShardState {
-    ShardId id;
+  // The front end's cursors, templates and auto tracer (dcr/front_end.hpp)
+  // plus the simulator-only state: replicated-heap cursor, fine pipeline,
+  // deferred deletions and fault tolerance.
+  struct ShardState : FrontEndState {
     NodeId node;
     std::uint64_t next_creation = 0;   // replicated-heap cursor
-    std::uint64_t next_future = 0;     // future / future-map id cursors
-    std::uint64_t next_future_map = 0;
-    std::uint64_t next_op = 0;         // program-order op counter
-    std::uint64_t api_calls = 0;       // determinism-check call index
     sim::Event fine_tail;              // previous fine analysis on this shard
-    std::unique_ptr<Philox4x32> rng;
-    // Per-shard dependence templates (dcr/template.hpp): capture, validate,
-    // and replay of trace windows' analysis decisions.
-    TemplateManager templates;
-    Hash128 last_template_hash;  // template-identity hash of the latest call
-    // Automatic trace identification (dcr/trace_id.hpp): the per-shard
-    // repeated-trace detector, whether the currently open template window was
-    // opened by it (vs an explicit begin_trace), and the end-of-program gate
-    // that stops it from opening windows during finalization.
-    TraceIdentifier auto_tracer;
-    bool auto_open = false;
-    bool auto_stop = false;
-    // dcr-prof: trace windows opened by this shard (the span iteration tag)
-    // and the virtual start time of the one currently open.
-    std::uint64_t windows_opened = 0;
-    SimTime window_started = 0;
     // Deferred deletions this shard has requested (in request order).
     std::vector<RegionTreeId> deferred_requests;
     std::uint64_t deletions_processed = 0;
@@ -418,23 +400,15 @@ class DcrRuntime {
   // spy trace records (dependences then the op record) exactly once.
   const CoarseDecision& coarse_decision(const OpRecord& op);
   const CoarseDecision& install_replayed_decision(const OpRecord& op);
-  void emit_coarse_decision(const OpRecord& op, const CoarseDecision& dec);
 
-  // ---- dependence templates (dcr/template.hpp) ----
-  // Capture: turn a computed decision (+ the op's fine-stage plan) into a
-  // TemplateOp on this shard's recording.
-  void capture_template_op(ShardState& st, const OpRecord& op, const CoarseDecision& dec);
-  // Validate: shadow-compare a fresh decision/plan against the recording.
-  void validate_template_op(ShardState& st, const OpRecord& op, const CoarseDecision& dec);
-  // Fine-stage mapping for this shard's owned points of an index launch
-  // (what a replay skips recomputing).
-  std::shared_ptr<const PointPlanList> make_point_plan(ShardId s, const IndexPayload& index);
   FenceRecord& fence_for(OpId dependent);
   FutureRecord& ensure_future(std::uint64_t id, OpId producer, bool broadcast);
   FutureRecord& ensure_reduce_future(std::uint64_t id, ReduceOp rop);
 
-  // Issue path: called from the shard's control process.
-  void issue(class ShardContext& ctx, OpPayload payload);
+  // Issue path: called from the shard's control process (ShardContext's
+  // before_issue/submit hooks).
+  void insert_agreed_deletions(ShardState& st);
+  void submit_op(ShardState& st, const OpRecord& op);
   void process_op(ShardId s, const OpRecord& op);
   void execute_points(ShardId s, const OpRecord& op);
   sim::Event launch_point_task(ShardId s, const OpRecord& op, const rt::Point& point,
@@ -470,18 +444,6 @@ class DcrRuntime {
   void spy_record_task(ShardId s, TaskId tid, OpId op, std::uint64_t point_index,
                        std::vector<spy::AccessRecord> accesses);
   void finalize_shard(class ShardContext& ctx);
-
-  // Template window close + hit/miss accounting, shared by explicit end_trace
-  // and auto-detected windows.  Reads the mode before end() clears it: a
-  // window still in Replay at close was served by a validated template;
-  // anything else (capture, validation, mid-window abort) ran fresh analysis.
-  // hits + misses == windows_closed by construction.
-  void close_template_window(ShardState& st, std::size_t shard_idx);
-  // Abort AND retire an auto-detected window.  An explicit window's abort
-  // deliberately leaves the active slot occupied for its matching end_trace;
-  // an auto window has no end_trace, so the close accounting must run here or
-  // the stale slot blocks every later begin (explicit or auto).
-  void retire_auto_window(ShardState& st, std::size_t shard_idx, const char* reason);
 
   void start_deferred_poller();
   bool check_deferred_consensus();
@@ -523,10 +485,9 @@ class DcrRuntime {
   DeterminismChecker checker_;
 
   // Replicated heap: creation results in call order, shared by shards.
-  struct Creation {
-    std::variant<FieldSpaceId, FieldId, RegionTreeId, PartitionId> handle;
-  };
-  std::vector<Creation> creations_;
+  std::vector<CreatedHandle> creations_;
+  // What the shards' front ends read from this runtime (set in the ctor).
+  FrontEndEnv front_end_env_;
 
   std::vector<std::unique_ptr<ShardState>> shards_;
   // Shared coarse dependence stage (dcr/coarse.hpp): decisions, epoch state,

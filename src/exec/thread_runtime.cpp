@@ -14,111 +14,22 @@ namespace dcr::exec {
 using core::AttachPayload;
 using core::CoarseDecision;
 using core::DeletePayload;
-using core::FencePayload;
 using core::FillPayload;
 using core::IndexPayload;
-using core::OpPayload;
 using core::OpRecord;
-using core::PointPlan;
-using core::PointPlanList;
 using core::ReducePayload;
-using core::SigBuilder;
 using core::TaskPayload;
-using core::TemplateDep;
-using core::TemplateFence;
 using core::TemplateManager;
-using core::TemplateOp;
 
 // ===========================================================================
-// ThreadShardContext: the per-thread implementation of the application API.
-// Mirrors the simulator's ShardContext (dcr/runtime.cpp) call for call —
-// same sig_* hashing, same issue points, same prof accounting — minus the
-// simulator-only machinery (virtual-time charging, replay fast-forwarding,
-// control taint, dcr-scope).
+// ThreadShardContext: the threads backend's hooks under the shared front end
+// (dcr/front_end.hpp).  Every shard replays creations on its own forest
+// replica; the handles agree across shards by control determinism.
 // ===========================================================================
-class ThreadShardContext final : public core::Context {
+class ThreadShardContext final : public core::ShardFrontEnd {
  public:
   ThreadShardContext(ThreadRuntime& rt, ThreadRuntime::ThreadShard& st)
-      : rt_(rt), st_(st) {}
-
-  // Each API call hashes its identity and arguments (paper §3).  Instead of
-  // the simulator's per-call collective check, each thread folds its hash
-  // stream into a running 128-bit digest compared across shards at join —
-  // same detection guarantee, no cross-thread traffic on the hot path.
-  void api_call(const char* name, SigBuilder& sig) {
-    const Hash128 h = sig.finish();
-    st_.last_template_hash = sig.tfinish();
-    if (rt_.checks_enabled()) {
-      rt_.determinism_checks_.fetch_add(1, std::memory_order_relaxed);
-      Hasher128 fold;
-      fold.value(st_.call_fold.lo).value(st_.call_fold.hi).value(h.lo).value(h.hi);
-      st_.call_fold = fold.finish();
-    }
-    if (rt_.trace_) {
-      rt_.trace_->calls[st_.id.value].push_back({st_.api_calls, name, h, sig.take_args()});
-    }
-    st_.api_calls++;
-    auto_trace_observe();
-    if (rt_.config_.tracing_enabled) st_.templates.on_call(st_.last_template_hash);
-  }
-
-  // Whether sig_* encoders should capture named arguments for the spy trace.
-  bool cap() const { return rt_.trace_ != nullptr; }
-
-  // ---- data model: every shard replays creations on its own forest replica;
-  //      the handles agree across shards by control determinism ----
-  FieldSpaceId create_field_space() override {
-    SigBuilder sb = core::sig_create_field_space(cap());
-    api_call("create_field_space", sb);
-    return st_.forest.create_field_space();
-  }
-
-  FieldId allocate_field(FieldSpaceId fs, std::size_t bytes, std::string name) override {
-    SigBuilder sb = core::sig_allocate_field(cap(), fs, bytes, name);
-    api_call("allocate_field", sb);
-    return st_.forest.allocate_field(fs, bytes, std::move(name));
-  }
-
-  RegionTreeId create_region(const rt::Rect& bounds, FieldSpaceId fs) override {
-    SigBuilder sb = core::sig_create_region(cap(), bounds, fs);
-    api_call("create_region", sb);
-    return st_.forest.create_tree(bounds, fs);
-  }
-
-  IndexSpaceId root(RegionTreeId tree) override { return st_.forest.root(tree); }
-
-  PartitionId partition_equal(IndexSpaceId parent, std::size_t pieces, int axis) override {
-    SigBuilder sb = core::sig_partition_equal(cap(), parent, pieces, axis);
-    api_call("partition_equal", sb);
-    return st_.forest.partition_equal(parent, pieces, axis);
-  }
-
-  PartitionId partition_with_halo(IndexSpaceId parent, std::size_t pieces,
-                                  std::int64_t halo, int axis) override {
-    SigBuilder sb = core::sig_partition_with_halo(cap(), parent, pieces, halo, axis);
-    api_call("partition_with_halo", sb);
-    return st_.forest.partition_with_halo(parent, pieces, halo, axis);
-  }
-
-  PartitionId create_partition(IndexSpaceId parent, std::vector<rt::Rect> pieces,
-                               bool disjoint) override {
-    SigBuilder sb = core::sig_create_partition(cap(), parent, pieces, disjoint);
-    api_call("create_partition", sb);
-    return st_.forest.create_partition(parent, std::move(pieces), disjoint);
-  }
-
-  PartitionId partition_grid(IndexSpaceId parent, std::size_t tiles_x, std::size_t tiles_y,
-                             std::int64_t halo) override {
-    SigBuilder sb = core::sig_partition_grid(cap(), parent, tiles_x, tiles_y, halo);
-    api_call("partition_grid", sb);
-    return st_.forest.partition_grid(parent, tiles_x, tiles_y, halo);
-  }
-
-  void destroy_region(RegionTreeId tree) override {
-    SigBuilder sb = core::sig_destroy_region(cap(), tree);
-    api_call("destroy_region", sb);
-    rt_.issue(st_, DeletePayload{tree});
-  }
+      : ShardFrontEnd(rt.front_end_env_, st), rt_(rt), st_(st) {}
 
   void destroy_region_deferred(RegionTreeId tree) override {
     (void)tree;
@@ -126,55 +37,25 @@ class ThreadShardContext final : public core::Context {
                         "(no deferred-deletion consensus poller); use destroy_region";
   }
 
-  const rt::RegionForest& forest() const override { return st_.forest; }
+  SimTime now() const override { return rt_.clock_.now(); }
 
-  // ---- operations ----
-  void fill(IndexSpaceId region, std::vector<FieldId> fields) override {
-    SigBuilder sb = core::sig_fill(cap(), region, fields);
-    api_call("fill", sb);
-    rt_.issue(st_, FillPayload{region, std::move(fields)});
-  }
-
-  core::Future launch(const core::TaskLaunch& launch) override {
-    SigBuilder sb = core::sig_launch(cap(), launch);
-    api_call("launch", sb);
-    TaskPayload p{launch, ~0ull};
-    core::Future f;
-    if (launch.wants_future) {
-      f.id = st_.next_future++;
-      p.future_id = f.id;
+ private:
+  // Instead of the simulator's per-call collective check, each thread folds
+  // its hash stream into a running 128-bit digest compared across shards at
+  // join — same detection guarantee, no cross-thread traffic on the hot path.
+  bool check_call(const char* /*name*/, const Hash128& h) override {
+    if (rt_.config_.determinism_checks) {
+      rt_.determinism_checks_.fetch_add(1, std::memory_order_relaxed);
+      Hasher128 fold;
+      fold.value(st_.call_fold.lo).value(st_.call_fold.hi).value(h.lo).value(h.hi);
+      st_.call_fold = fold.finish();
     }
-    rt_.issue(st_, std::move(p));
-    return f;
+    return true;
   }
 
-  core::FutureMap index_launch(const core::IndexLaunch& launch) override {
-    SigBuilder sb = core::sig_index_launch(cap(), launch);
-    api_call("index_launch", sb);
-    IndexPayload p{launch, ~0ull};
-    core::FutureMap fm;
-    if (launch.wants_futures) {
-      fm.id = st_.next_future_map++;
-      p.future_map_id = fm.id;
-    }
-    rt_.issue(st_, std::move(p));
-    return fm;
-  }
+  void submit(const OpRecord& op) override { rt_.submit_op(st_, op); }
 
-  core::Future reduce_future_map(const core::FutureMap& fm, core::ReduceOp op) override {
-    SigBuilder sb = core::sig_reduce_future_map(cap(), fm, op);
-    api_call("reduce_future_map", sb);
-    DCR_CHECK(fm.valid()) << "reducing an invalid future map";
-    core::Future f;
-    f.id = st_.next_future++;
-    rt_.issue(st_, ReducePayload{fm.id, op, f.id});
-    return f;
-  }
-
-  double get_future(const core::Future& f) override {
-    SigBuilder sb = core::sig_get_future(cap(), f);
-    api_call("get_future", sb);
-    DCR_CHECK(f.valid()) << "waiting on an invalid future";
+  double wait_future(const core::Future& f, dcr::scope::TraceCtx& releaser) override {
     ThreadRuntime::FutureEntry entry;
     {
       std::lock_guard<std::mutex> lk(rt_.futures_mu_);
@@ -182,37 +63,20 @@ class ThreadShardContext final : public core::Context {
       DCR_CHECK(it != rt_.futures_.end()) << "future " << f.id << " has no producer";
       entry = it->second;
     }
-    const SimTime wait_start = rt_.clock_.now();
-    double v;
-    dcr::scope::TraceCtx releaser;
     if (entry.reduce) {
-      v = entry.coll->wait();
+      const double v = entry.coll->wait();
       // Merged context of the fan-in: the globally last contributor.
       if (rt_.scope_) releaser = entry.coll->result_ctx();
-    } else {
-      const ThreadRuntime::CachedFuture cf = rt_.wait_broadcast(st_, f.id);
-      v = cf.value;
-      releaser = cf.ctx;
+      return v;
     }
-    const SimTime now = rt_.clock_.now();
-    prof::Counters& pc = rt_.profiler_.shard(st_.id.value);
-    pc.add(prof::Counter::FutureWaits);
-    pc.add(prof::Counter::FutureWaitNs, now - wait_start);
-    pc.observe(prof::Hist::FutureWaitNs, now - wait_start);
-    rt_.profiler_.emit(
-        {prof::SpanKind::FutureWait, prof::Lane::Control, st_.id.value, wait_start, now});
-    if (rt_.scope_) {
-      rt_.scope_->on_future_wait(st_.id.value, f.id, wait_start, now, releaser);
-    }
-    return v;
+    const ThreadRuntime::CachedFuture cf = rt_.wait_broadcast(st_, f.id);
+    releaser = cf.ctx;
+    return cf.value;
   }
 
-  bool future_is_ready(const core::Future& f) override {
-    // Timing-dependent by design (Figure 5): the *call* is still hashed, but
-    // the returned value may differ across shards — here genuinely racy wall
-    // clock rather than simulated divergence.
-    SigBuilder sb = core::sig_future_is_ready(cap(), f);
-    api_call("future_is_ready", sb);
+  // The answer races real thread progress here, where the simulator's
+  // depends on virtual time.
+  bool poll_future(const core::Future& f) override {
     ThreadRuntime::FutureEntry entry;
     {
       std::lock_guard<std::mutex> lk(rt_.futures_mu_);
@@ -225,146 +89,13 @@ class ThreadShardContext final : public core::Context {
     return st_.future_cache.count(f.id) != 0;
   }
 
-  void execution_fence() override {
-    SigBuilder sb = core::sig_execution_fence(cap());
-    api_call("execution_fence", sb);
-    // The fence op's coarse decision is a pipeline barrier (it fences on the
-    // previous op), and processing is inline, so once issue() returns every
-    // shard has finished executing every prior op's owned points.
-    const SimTime wait_start = rt_.clock_.now();
-    rt_.issue(st_, FencePayload{});
-    rt_.profiler_.shard(st_.id.value).add(prof::Counter::ExecutionFences);
-    rt_.profiler_.emit({prof::SpanKind::ExecutionFence, prof::Lane::Control, st_.id.value,
-                        wait_start, rt_.clock_.now()});
-  }
+  // drain_execution and window_epochs keep the front end's defaults.  The
+  // fence op's coarse decision is a pipeline barrier (it fences on the
+  // previous op) and ops execute inline, so once the fence op is submitted
+  // every shard has executed every prior op's owned points.  No recovery or
+  // deferred-deletion epochs exist on this backend, so a template window
+  // keys on the forest mutation epoch alone.
 
-  void attach_file(IndexSpaceId region, std::vector<FieldId> fields,
-                   std::string file) override {
-    SigBuilder sb = core::sig_attach_file(cap(), region, fields, file);
-    api_call("attach_file", sb);
-    AttachPayload p;
-    p.region = region;
-    p.fields = std::move(fields);
-    p.file = std::move(file);
-    rt_.issue(st_, std::move(p));
-  }
-
-  void detach_file(IndexSpaceId region, std::vector<FieldId> fields) override {
-    SigBuilder sb = core::sig_detach_file(cap(), region, fields);
-    api_call("detach_file", sb);
-    AttachPayload p;
-    p.region = region;
-    p.fields = std::move(fields);
-    p.detach = true;
-    rt_.issue(st_, std::move(p));
-  }
-
-  void attach_file_group(PartitionId partition, std::vector<FieldId> fields,
-                         std::string file_basename) override {
-    SigBuilder sb = core::sig_attach_file_group(cap(), partition, fields, file_basename);
-    api_call("attach_file_group", sb);
-    AttachPayload p;
-    p.partition = partition;
-    p.fields = std::move(fields);
-    p.file = std::move(file_basename);
-    rt_.issue(st_, std::move(p));
-  }
-
-  void detach_file_group(PartitionId partition, std::vector<FieldId> fields) override {
-    SigBuilder sb = core::sig_detach_file_group(cap(), partition, fields);
-    api_call("detach_file_group", sb);
-    AttachPayload p;
-    p.partition = partition;
-    p.fields = std::move(fields);
-    p.detach = true;
-    rt_.issue(st_, std::move(p));
-  }
-
-  // ---- tracing (dependence templates, dcr/template.hpp) ----
-  void begin_trace(TraceId id) override {
-    SigBuilder sb = core::sig_begin_trace(cap(), id);
-    api_call("begin_trace", sb);
-    if (!rt_.config_.tracing_enabled) return;
-    if (st_.auto_open) {
-      // An auto-detected window is open: the explicit window wins (the tap in
-      // api_call usually aborted it already when the begin_trace signature
-      // broke the repeat).
-      rt_.retire_auto_window(st_, "explicit begin_trace inside an auto window");
-    }
-    DCR_CHECK(!st_.templates.active()) << "nested traces are not supported";
-    // No recovery or deferred-deletion epochs on this backend; the forest
-    // mutation epoch is the only validity key that can move.
-    st_.templates.begin(id, st_.forest.mutation_epoch(), /*recovery_epoch=*/0,
-                        /*deletion_epoch=*/0, rt_.config_.template_validation);
-    st_.windows_opened++;
-    st_.window_started = rt_.clock_.now();
-  }
-
-  void end_trace(TraceId id) override {
-    SigBuilder sb = core::sig_end_trace(cap(), id);
-    api_call("end_trace", sb);
-    if (!rt_.config_.tracing_enabled) return;
-    DCR_CHECK(st_.templates.active() && *st_.templates.active() == id)
-        << "mismatched end_trace";
-    close_window_accounting();
-  }
-
-  // Window close + hit/miss accounting shared by explicit end_trace and
-  // auto-detected windows (mirrors the simulator backend).
-  void close_window_accounting() { rt_.close_template_window(st_); }
-
-  // ---- automatic trace identification (dcr/trace_id.hpp) ----
-  // Same tap as the simulator backend's ShardContext::auto_trace_observe:
-  // runs before templates.on_call so Open windows receive the current call as
-  // their first op.  The detector is a pure function of the call-hash stream,
-  // which is identical across backends, so both promote the same traces at
-  // the same call indices.
-  void auto_trace_observe() {
-    const ThreadConfig& cfg = rt_.config_;
-    if (!cfg.auto_trace.enabled || !cfg.tracing_enabled || st_.auto_stop) return;
-    const bool explicit_open = st_.templates.active() && !st_.auto_open;
-    const core::TraceIdentifier::Result r =
-        st_.auto_tracer.observe(st_.last_template_hash, explicit_open);
-    if (explicit_open) return;  // suppressed: no actions can fire
-    switch (r.action) {
-      case core::TraceIdentifier::Action::None:
-        break;
-      case core::TraceIdentifier::Action::Open:
-        if (!st_.templates.active()) auto_open_window(r.trace);
-        break;
-      case core::TraceIdentifier::Action::Close:
-        auto_close_window();
-        break;
-      case core::TraceIdentifier::Action::CloseOpen:
-        auto_close_window();
-        auto_open_window(r.trace);
-        break;
-      case core::TraceIdentifier::Action::AbortClose:
-        rt_.retire_auto_window(st_, "auto trace broke mid-period");
-        break;
-    }
-  }
-
-  void auto_open_window(TraceId id) {
-    st_.templates.begin(id, st_.forest.mutation_epoch(), /*recovery_epoch=*/0,
-                        /*deletion_epoch=*/0, rt_.config_.template_validation);
-    st_.windows_opened++;
-    st_.window_started = rt_.clock_.now();
-    st_.auto_open = true;
-  }
-
-  void auto_close_window() {
-    if (st_.templates.active()) close_window_accounting();
-    st_.auto_open = false;
-  }
-
-  // ---- environment ----
-  std::size_t num_shards() const override { return rt_.num_shards(); }
-  ShardId shard_id() const override { return st_.id; }
-  Philox4x32& rng() override { return *st_.rng; }
-  SimTime now() const override { return rt_.clock_.now(); }
-
- private:
   ThreadRuntime& rt_;
   ThreadRuntime::ThreadShard& st_;
 };
@@ -392,9 +123,10 @@ ThreadRuntime::ThreadRuntime(core::FunctionRegistry& functions, ThreadConfig con
   for (std::size_t s = 0; s < config_.num_shards; ++s) {
     auto st = std::make_unique<ThreadShard>();
     st->id = ShardId(static_cast<std::uint32_t>(s));
-    st->prover = std::make_unique<statics::InterferenceProver>(st->forest, projections_,
+    st->forest = &st->own_forest;
+    st->shardings = &st->own_shardings;
+    st->prover = std::make_unique<statics::InterferenceProver>(st->own_forest, projections_,
                                                                config_.statics_check);
-    st->rng = std::make_unique<Philox4x32>(/*seed=*/0x5eed, /*stream=*/0);
     st->inbox.reserve(config_.num_shards);
     for (std::size_t p = 0; p < config_.num_shards; ++p) {
       st->inbox.push_back(p == s ? nullptr
@@ -422,6 +154,16 @@ ThreadRuntime::ThreadRuntime(core::FunctionRegistry& functions, ThreadConfig con
       }
     }
   }
+  front_end_env_ = {.profiler = &profiler_,
+                    .clock = &clock_,
+                    .projections = &projections_,
+                    .trace = trace_.get(),
+                    .scope = scope_.get(),
+                    .mapper = config_.mapper,
+                    .num_shards = config_.num_shards,
+                    .tracing_enabled = config_.tracing_enabled,
+                    .template_validation = config_.template_validation,
+                    .auto_trace = config_.auto_trace.enabled};
 }
 
 ThreadRuntime::~ThreadRuntime() {
@@ -430,18 +172,11 @@ ThreadRuntime::~ThreadRuntime() {
   }
 }
 
-bool ThreadRuntime::checks_enabled() const {
-  // Matches the simulator's DeterminismChecker::enabled(): the per-call count
-  // is charged whenever checking is on, even single-shard (where the join
-  // comparison below is vacuous) — keeps DcrStats parity exact.
-  return config_.determinism_checks;
-}
-
 ShardingId ThreadRuntime::register_sharding(core::ShardingRegistry::ShardingFn fn) {
   DCR_CHECK(!executed_) << "register shardings before execute()";
   ShardingId id = ShardingId::invalid();
   for (auto& st : shards_) {
-    const ShardingId got = st->shardings.register_sharding(fn);
+    const ShardingId got = st->own_shardings.register_sharding(fn);
     if (!id.valid()) id = got;
     DCR_CHECK(got.value == id.value) << "sharding registries diverged";
   }
@@ -458,18 +193,6 @@ const core::TraceIdentifier& ThreadRuntime::shard_auto_tracer(ShardId s) {
 
 // ----------------------------------------------------------- coarse stage
 
-void ThreadRuntime::emit_coarse_decision_locked(const OpRecord& op,
-                                                const CoarseDecision& dec) {
-  coarse_deps_ += dec.deps;
-  fences_elided_ += dec.elided;
-  if (!dec.fence_sources.empty()) fences_inserted_++;
-  if (trace_) {
-    // Ops reach here exactly once, in program order (analyzer-checked).
-    for (const spy::CoarseDepRecord& d : dec.dep_records) trace_->coarse_deps.push_back(d);
-    trace_->ops.push_back({op.id, dec.kind, op.call_index, dec.fence_sources});
-  }
-}
-
 CoarseDecision ThreadRuntime::coarse_decision(ThreadShard& st, const OpRecord& op) {
   std::lock_guard<std::mutex> lk(analysis_mu_);
   bool fresh = false;
@@ -477,9 +200,9 @@ CoarseDecision ThreadRuntime::coarse_decision(ThreadShard& st, const OpRecord& o
   // ones: every replica is at the same program point when its shard first
   // reaches this op, so whichever shard computes the decision sees identical
   // region state (control determinism).  Later shards hit the cache.
-  const CoarseDecision& dec = coarse_.decide(op, st.forest, *st.prover, statics_ledger_,
+  const CoarseDecision& dec = coarse_.decide(op, *st.forest, *st.prover, statics_ledger_,
                                              single_op_owner(op.id), &fresh);
-  if (fresh) emit_coarse_decision_locked(op, dec);
+  if (fresh) core::emit_coarse_decision(op, dec, analysis_stats_, trace_.get());
   return dec;  // copy: the cache must not be read outside the lock
 }
 
@@ -487,101 +210,8 @@ CoarseDecision ThreadRuntime::install_replayed_decision(const OpRecord& op) {
   std::lock_guard<std::mutex> lk(analysis_mu_);
   bool fresh = false;
   const CoarseDecision& dec = coarse_.install_replayed(op, statics_ledger_, &fresh);
-  if (fresh) emit_coarse_decision_locked(op, dec);
+  if (fresh) core::emit_coarse_decision(op, dec, analysis_stats_, trace_.get());
   return dec;
-}
-
-// ----------------------------------------------------- dependence templates
-// Same logic as DcrRuntime's capture/validate, operating on this shard's
-// template store (dcr/runtime.cpp is the reference).
-
-std::shared_ptr<const PointPlanList> ThreadRuntime::make_point_plan(
-    ThreadShard& st, const IndexPayload& index) {
-  const core::IndexLaunch& launch = index.launch;
-  const auto& points =
-      st.shardings.owned_points(launch.sharding, launch.domain, num_shards(), st.id);
-  auto plan = std::make_shared<PointPlanList>();
-  plan->reserve(points.size());
-  for (const rt::Point& p : points) {
-    PointPlan pp;
-    pp.point = p;
-    pp.point_index = rt::linearize(launch.domain, p);
-    pp.reqs.reserve(launch.requirements.size());
-    for (const rt::GroupRequirement& gr : launch.requirements) {
-      pp.reqs.push_back(gr.concretize(st.forest, projections_, p, launch.domain));
-    }
-    plan->push_back(std::move(pp));
-  }
-  return plan;
-}
-
-void ThreadRuntime::capture_template_op(ThreadShard& st, const OpRecord& op,
-                                        const CoarseDecision& dec) {
-  TemplateOp rec;
-  rec.payload_kind = op.payload.index();
-  rec.call_hash = op.call_hash;
-  rec.kind = dec.kind;
-  rec.num_reqs = dec.num_reqs;
-  rec.summaries = dec.summaries;
-  rec.deps.reserve(dec.dep_records.size());
-  for (const spy::CoarseDepRecord& d : dec.dep_records) {
-    if (d.prev.value >= op.id.value) {
-      st.templates.abort_window("non-causal coarse dependence during capture");
-      return;
-    }
-    rec.deps.push_back({op.id.value - d.prev.value, d.prev.value, /*absolute=*/false,
-                        d.tree, d.field, d.elided});
-  }
-  rec.fences.reserve(dec.fence_sources.size());
-  for (OpId src : dec.fence_sources) {
-    rec.fences.push_back({op.id.value - src.value, src.value, /*absolute=*/false});
-  }
-  rec.plan = op.plan;
-  st.templates.record_op(std::move(rec));
-}
-
-void ThreadRuntime::validate_template_op(ThreadShard& st, const OpRecord& op,
-                                         const CoarseDecision& dec) {
-  TemplateOp& rec = *op.trec;
-  auto fail = [&](const char* what) {
-    st.templates.validation_failed(std::string("shadow compare mismatch at op ") +
-                                   std::to_string(op.id.value) + ": " + what);
-  };
-  if (!(rec.call_hash == op.call_hash)) return fail("API-call identity");
-  if (rec.kind != dec.kind) return fail("op kind");
-  if (rec.num_reqs != dec.num_reqs) return fail("requirement count");
-  if (rec.summaries != dec.summaries) return fail("requirement summaries");
-  if (rec.deps.size() != dec.dep_records.size()) return fail("coarse dependence count");
-  for (std::size_t i = 0; i < rec.deps.size(); ++i) {
-    const spy::CoarseDepRecord& d = dec.dep_records[i];
-    TemplateDep& rd = rec.deps[i];
-    if (rd.tree != d.tree || rd.field != d.field || rd.elided != d.elided) {
-      return fail("coarse dependences / elision verdicts");
-    }
-    if (rd.prev_offset == op.id.value - d.prev.value) {
-      rd.absolute = false;
-    } else if (rd.abs_source == d.prev.value) {
-      rd.absolute = true;
-    } else {
-      return fail("coarse dependence source");
-    }
-  }
-  if (rec.fences.size() != dec.fence_sources.size()) return fail("fence count");
-  for (std::size_t i = 0; i < rec.fences.size(); ++i) {
-    const OpId src = dec.fence_sources[i];
-    TemplateFence& rf = rec.fences[i];
-    if (rf.prev_offset == op.id.value - src.value) {
-      rf.absolute = false;
-    } else if (rf.abs_source == src.value) {
-      rf.absolute = true;
-    } else {
-      return fail("fence sources");
-    }
-  }
-  const PointPlanList empty;
-  const PointPlanList& fresh_plan = op.plan ? *op.plan : empty;
-  const PointPlanList& stored_plan = rec.plan ? *rec.plan : empty;
-  if (!(fresh_plan == stored_plan)) return fail("fine-stage point plan");
 }
 
 // ------------------------------------------------------------- collectives
@@ -689,18 +319,7 @@ ThreadRuntime::CachedFuture ThreadRuntime::wait_broadcast(ThreadShard& st,
 
 // ----------------------------------------------------------------- issuing
 
-void ThreadRuntime::issue(ThreadShard& st, OpPayload payload) {
-  OpRecord op{OpId(st.next_op++), std::move(payload), false};
-  // The API call that issued this op was hashed just before issue().
-  if (st.api_calls > 0) op.call_index = st.api_calls - 1;
-
-  // Mapper query (§4): deterministic, so every shard rewrites identically.
-  if (config_.mapper) {
-    if (auto* index = std::get_if<IndexPayload>(&op.payload)) {
-      index->launch.sharding = config_.mapper->select_sharding(index->launch, num_shards());
-    }
-  }
-
+void ThreadRuntime::submit_op(ThreadShard& st, const OpRecord& op) {
   // Futures are created eagerly at issue so the control program can wait on
   // them before any shard's execution has reached the producing op.
   if (const auto* task = std::get_if<TaskPayload>(&op.payload)) {
@@ -708,51 +327,7 @@ void ThreadRuntime::issue(ThreadShard& st, OpPayload payload) {
   } else if (const auto* red = std::get_if<ReducePayload>(&op.payload)) {
     ensure_reduce_future(red->future_id, red->op);
   }
-
-  // Dependence templates: capture this op's decisions or replay the recorded
-  // ones, per the window's mode (same dispatch as the simulator backend).
-  if (st.templates.active()) {
-    op.call_hash = st.last_template_hash;
-    switch (st.templates.mode()) {
-      case TemplateManager::Mode::Capture:
-        op.tmode = TemplateManager::Mode::Capture;
-        if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-          op.plan = make_point_plan(st, *index);
-        }
-        break;
-      case TemplateManager::Mode::Validate: {
-        TemplateOp* rec = st.templates.next_op();
-        if (rec == nullptr) break;  // window just aborted
-        if (rec->payload_kind != op.payload.index()) {
-          st.templates.abort_window("op payload kind diverged from the recording");
-          break;
-        }
-        op.tmode = TemplateManager::Mode::Validate;
-        op.trec = rec;
-        if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-          op.plan = make_point_plan(st, *index);
-        }
-        break;
-      }
-      case TemplateManager::Mode::Replay: {
-        TemplateOp* rec = st.templates.next_op();
-        if (rec == nullptr) break;
-        if (rec->payload_kind != op.payload.index() || !(rec->call_hash == op.call_hash)) {
-          st.templates.abort_window("op identity diverged from the recording");
-          break;
-        }
-        op.tmode = TemplateManager::Mode::Replay;
-        op.trec = rec;
-        op.plan = rec->plan;
-        op.traced = true;  // reduced analysis cost accounting
-        traced_ops_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      case TemplateManager::Mode::Inactive:
-        break;
-    }
-  }
-
+  if (op.traced) traced_ops_.fetch_add(1, std::memory_order_relaxed);
   if (op.tmode == TemplateManager::Mode::Replay && op.trec != nullptr) {
     install_replayed_decision(op);
   }
@@ -763,17 +338,9 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
   // ---- coarse stage: the shared analyzer; replayed ops hit the cache ----
   const SimTime c0 = clock_.now();
   const CoarseDecision dec = coarse_decision(st, op);
-  if (op.tmode == TemplateManager::Mode::Capture) {
-    capture_template_op(st, op, dec);
-  } else if (op.tmode == TemplateManager::Mode::Validate) {
-    validate_template_op(st, op, dec);
-    // Also feed the shadow re-recording that replaces the stored template if
-    // the compare above mismatched (record_op routes by mode).
-    capture_template_op(st, op, dec);
-  }
+  st.record_template_op(op, dec);
 
-  const std::uint64_t prof_iter =
-      st.templates.active().has_value() ? st.windows_opened - 1 : prof::kNoId;
+  const std::uint64_t prof_iter = st.prof_iter();
   prof::Counters& pc = profiler_.shard(st.id.value);
   const SimTime c1 = clock_.now();
   pc.add(op.traced ? prof::Counter::TracedCoarseOps : prof::Counter::CoarseOps);
@@ -809,26 +376,8 @@ void ThreadRuntime::process_op(ThreadShard& st, const OpRecord& op) {
                     op.id.value, prof_iter});
   }
 
-  // ---- fine stage: owned-point accounting mirrors the simulator ----
-  std::uint64_t owned = 0;
-  if (op.plan) {
-    owned = op.plan->size();
-  } else if (const auto* index = std::get_if<IndexPayload>(&op.payload)) {
-    owned = st.shardings
-                .owned_points(index->launch.sharding, index->launch.domain, num_shards(),
-                              st.id)
-                .size();
-  } else if (const auto* attach = std::get_if<AttachPayload>(&op.payload);
-             attach && attach->partition.valid()) {
-    const rt::Rect dom = rt::Rect::r1(
-        0, static_cast<std::int64_t>(st.forest.num_subregions(attach->partition)) - 1);
-    owned = st.shardings
-                .owned_points(core::ShardingRegistry::blocked(), dom, num_shards(), st.id)
-                .size();
-  } else if (!std::holds_alternative<ReducePayload>(op.payload) &&
-             !std::holds_alternative<FencePayload>(op.payload)) {
-    owned = (single_op_owner(op.id) == st.id) ? 1 : 0;
-  }
+  // ---- fine stage: the same owned-point accounting as the simulator ----
+  const std::uint64_t owned = st.owned_points(op, num_shards());
   const bool static_skip = dec.static_skip && !op.traced;
   const SimTime f0 = clock_.now();
   pc.add(op.traced ? prof::Counter::TracedFineOps : prof::Counter::FineOps);
@@ -863,27 +412,12 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op,
     if (index->future_map_id != ~0ull) {
       st.fm_partials.try_emplace(index->future_map_id);  // identity partials
     }
-    if (op.plan) {
-      // Template path: per-point projection results were recorded at capture,
-      // so the replay touches neither the forest nor the projection registry.
-      for (const PointPlan& pp : *op.plan) {
-        launch_point_task(st, op, pp.point, pp.point_index, pp.reqs, launch.args,
-                          launch.fn, index->future_map_id);
-      }
-    } else {
-      const auto& points =
-          st.shardings.owned_points(launch.sharding, launch.domain, num_shards(), st.id);
-      for (const rt::Point& p : points) {
-        std::vector<rt::Requirement> reqs;
-        reqs.reserve(launch.requirements.size());
-        for (const rt::GroupRequirement& gr : launch.requirements) {
-          reqs.push_back(gr.concretize(st.forest, projections_, p, launch.domain));
-        }
-        const std::uint64_t point_index = rt::linearize(launch.domain, p);
-        launch_point_task(st, op, p, point_index, reqs, launch.args, launch.fn,
-                          index->future_map_id);
-      }
-    }
+    st.for_each_owned_point(launch, op.plan.get(), projections_, num_shards(),
+                            [&](const rt::Point& p, std::uint64_t point_index,
+                                const std::vector<rt::Requirement>& reqs) {
+                              launch_point_task(st, op, p, point_index, reqs, launch.args,
+                                                launch.fn, index->future_map_id);
+                            });
     return;
   }
 
@@ -899,8 +433,8 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op,
 
   if (const auto* fill = std::get_if<FillPayload>(&op.payload)) {
     if (single_op_owner(op.id) != st.id) return;
-    const rt::Rect rect = st.forest.bounds(fill->region);
-    const RegionTreeId tree = st.forest.tree_of(fill->region);
+    const rt::Rect rect = st.forest->bounds(fill->region);
+    const RegionTreeId tree = st.forest->tree_of(fill->region);
     const TaskId tid(op.id.value * core::kPointsPerOp);
     if (config_.record_task_graph) {
       std::lock_guard<std::mutex> lk(graph_mu_);
@@ -923,15 +457,15 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op,
         attach->detach ? rt::Privilege::ReadOnly : rt::Privilege::WriteDiscard;
     if (attach->partition.valid()) {
       // Parallel file I/O: every shard attaches/flushes the pieces it owns.
-      const RegionTreeId tree = st.forest.tree_of_partition(attach->partition);
+      const RegionTreeId tree = st.forest->tree_of_partition(attach->partition);
       const rt::Rect dom = rt::Rect::r1(
-          0, static_cast<std::int64_t>(st.forest.num_subregions(attach->partition)) - 1);
+          0, static_cast<std::int64_t>(st.forest->num_subregions(attach->partition)) - 1);
       const auto& points =
-          st.shardings.owned_points(core::ShardingRegistry::blocked(), dom, num_shards(),
+          st.shardings->owned_points(core::ShardingRegistry::blocked(), dom, num_shards(),
                                     st.id);
       for (const rt::Point& p : points) {
         const std::uint64_t color = rt::linearize(dom, p);
-        const rt::Rect rect = st.forest.bounds(st.forest.subregion(attach->partition, color));
+        const rt::Rect rect = st.forest->bounds(st.forest->subregion(attach->partition, color));
         const TaskId tid(op.id.value * core::kPointsPerOp + color);
         if (config_.record_task_graph) {
           std::lock_guard<std::mutex> lk(graph_mu_);
@@ -951,8 +485,8 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op,
       return;
     }
     if (single_op_owner(op.id) != st.id) return;
-    const rt::Rect rect = st.forest.bounds(attach->region);
-    const RegionTreeId tree = st.forest.tree_of(attach->region);
+    const rt::Rect rect = st.forest->bounds(attach->region);
+    const RegionTreeId tree = st.forest->tree_of(attach->region);
     const TaskId tid(op.id.value * core::kPointsPerOp);
     if (config_.record_task_graph) {
       std::lock_guard<std::mutex> lk(graph_mu_);
@@ -992,7 +526,7 @@ void ThreadRuntime::execute_points(ThreadShard& st, const OpRecord& op,
   if (const auto* del = std::get_if<DeletePayload>(&op.payload)) {
     // Each shard destroys its own replica at the same program point, so the
     // forests (and their mutation epochs) stay in lockstep.
-    if (!st.forest.tree_destroyed(del->tree)) st.forest.destroy_tree(del->tree);
+    if (!st.forest->tree_destroyed(del->tree)) st.forest->destroy_tree(del->tree);
     return;
   }
 }
@@ -1013,7 +547,7 @@ void ThreadRuntime::launch_point_task(ThreadShard& st, const OpRecord& op,
   info.requirements = reqs;
   info.args = args;
   for (const rt::Requirement& r : reqs) {
-    info.volume += st.forest.bounds(r.region).volume();
+    info.volume += st.forest->bounds(r.region).volume();
   }
 
   if (config_.record_task_graph) {
@@ -1024,8 +558,8 @@ void ThreadRuntime::launch_point_task(ThreadShard& st, const OpRecord& op,
     std::lock_guard<std::mutex> lk(graph_mu_);
     std::vector<TaskId> conflict_tasks;
     for (const rt::Requirement& r : reqs) {
-      const rt::Rect rect = st.forest.bounds(r.region);
-      const RegionTreeId tree = st.forest.tree_of(r.region);
+      const rt::Rect rect = st.forest->bounds(r.region);
+      const RegionTreeId tree = st.forest->tree_of(r.region);
       for (FieldId f : r.fields) {
         auto conflicts = tracker_.record_use(tree, f, rect, r.privilege, r.redop, tid,
                                              sim::Event::no_event());
@@ -1038,7 +572,7 @@ void ThreadRuntime::launch_point_task(ThreadShard& st, const OpRecord& op,
       std::vector<spy::AccessRecord> accesses;
       accesses.reserve(reqs.size());
       for (const rt::Requirement& r : reqs) {
-        accesses.push_back({st.forest.tree_of(r.region), st.forest.bounds(r.region),
+        accesses.push_back({st.forest->tree_of(r.region), st.forest->bounds(r.region),
                             r.fields, r.privilege, r.redop});
       }
       trace_->tasks.push_back({tid, op.id, point_index, st.id, std::move(accesses)});
@@ -1113,45 +647,18 @@ void ThreadRuntime::busy_spin(SimTime wall_ns) {
 
 // ----------------------------------------------------------------- execute
 
-void ThreadRuntime::close_template_window(ThreadShard& st) {
-  prof::Counters& pc = profiler_.shard(st.id.value);
-  pc.add(prof::Counter::WindowsClosed);
-  pc.add(st.templates.mode() == TemplateManager::Mode::Replay
-             ? prof::Counter::TemplateWindowHits
-             : prof::Counter::TemplateWindowMisses);
-  st.templates.end(st.forest);
-  profiler_.emit({prof::SpanKind::TraceWindow, prof::Lane::Control, st.id.value,
-                  st.window_started, clock_.now(), prof::kNoId,
-                  st.windows_opened - 1});
-}
-
-void ThreadRuntime::retire_auto_window(ThreadShard& st, const char* reason) {
-  if (st.templates.active()) {
-    st.templates.abort_window(reason);  // no-op if already aborted underneath
-    close_template_window(st);
-  }
-  st.auto_open = false;
-  st.auto_tracer.interrupt();
-}
-
 void ThreadRuntime::shard_main(ThreadShard& st, const core::ApplicationMain& main) {
   try {
     ThreadShardContext ctx(*this, st);
     main(ctx);
-    // The control program is over: discard any open auto window (it can never
-    // complete its period) and stop the detector before the final barrier, so
-    // the finalization fence matches the simulator's finalize_shard behavior.
-    if (st.auto_open) {
-      retire_auto_window(st, "control program ended inside an auto window");
-    }
-    st.auto_stop = true;
+    ctx.end_program();
     // Final barrier so the call/op streams match the simulator's
     // finalize_shard, and every shard's work is done before join.
     ctx.execution_fence();
   } catch (const std::exception& e) {
-    st.error = e.what();
+    st.error = core::shard_failure_message(st.id, e.what());
   } catch (...) {
-    st.error = "unknown exception in shard control program";
+    st.error = core::shard_failure_message(st.id, "unknown exception in control program");
   }
 }
 
@@ -1182,15 +689,15 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
     stats.ops_issued = std::max(stats.ops_issued, st->next_op);
   }
   stats.point_tasks_launched = point_tasks_launched_.load(std::memory_order_relaxed);
-  stats.fences_inserted = fences_inserted_;
-  stats.fences_elided = fences_elided_;
-  stats.coarse_deps = coarse_deps_;
+  stats.fences_inserted = analysis_stats_.fences_inserted;
+  stats.fences_elided = analysis_stats_.fences_elided;
+  stats.coarse_deps = analysis_stats_.coarse_deps;
   stats.determinism_checks = determinism_checks_.load(std::memory_order_relaxed);
   stats.traced_ops = traced_ops_.load(std::memory_order_relaxed);
 
   // Join-time control-determinism verification: the per-shard folded call
   // digests must agree (paper §3; the simulator checks per call instead).
-  if (checks_enabled()) {
+  if (config_.determinism_checks) {
     for (std::size_t s = 1; s < shards_.size(); ++s) {
       if (shards_[s]->api_calls != shards_[0]->api_calls ||
           !(shards_[s]->call_fold == shards_[0]->call_fold)) {
@@ -1211,26 +718,7 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
   }
 
   for (const auto& st : shards_) {
-    const TemplateManager::Counters& c = st->templates.counters();
-    stats.templates_captured += c.captured;
-    stats.templates_validated += c.validated;
-    stats.template_replays += c.window_replays;
-    stats.template_invalidations += c.invalidated;
-    stats.template_validation_failures += c.validation_failures;
-    const core::TraceIdentifier::Counters& a = st->auto_tracer.counters();
-    stats.auto_trace_detections += a.detections;
-    stats.auto_trace_promotions += a.promotions;
-    stats.auto_trace_demotions += a.demotions;
-    stats.auto_trace_windows += a.windows;
-    stats.auto_trace_aborts += a.aborts;
-    stats.auto_trace_collisions += a.collisions;
-    prof::Counters& apc = profiler_.shard(st->id.value);
-    apc.add(prof::Counter::AutoTraceDetections, a.detections);
-    apc.add(prof::Counter::AutoTracePromotions, a.promotions);
-    apc.add(prof::Counter::AutoTraceDemotions, a.demotions);
-    apc.add(prof::Counter::AutoTraceWindows, a.windows);
-    apc.add(prof::Counter::AutoTraceAborts, a.aborts);
-    apc.add(prof::Counter::AutoTraceCollisions, a.collisions);
+    st->roll_up(stats, profiler_);
     for (const auto& [fn, fp] : st->profile) {
       FunctionProfile& merged = profile_[fn];
       merged.tasks += fp.tasks;
@@ -1256,12 +744,6 @@ core::DcrStats ThreadRuntime::execute(const core::ApplicationMain& main) {
           profiler_.shard(static_cast<std::uint32_t>(sh)).get(prof::Counter::StaticSkipPoints);
     }
   }
-
-  // Mirror end-of-run totals into the global counter bank, as the simulator
-  // backend does, so prof snapshots are self-contained on both backends.
-  prof::Counters& g = profiler_.global();
-  g.add(prof::GlobalCounter::TemplateShadowMismatches, stats.template_validation_failures);
-  g.add(prof::GlobalCounter::TemplateInvalidations, stats.template_invalidations);
 
   // dcr-scope: the shards have quiesced (joined), so harvest every fence's
   // per-rank wall-clock timestamps + merged releaser into the blame ledger,

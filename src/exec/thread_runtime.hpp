@@ -9,10 +9,13 @@
 // and edges, identical template window hits and statics verdicts — on both
 // backends.  That is not an accident of testing but of construction:
 //
-//  * the §3 call hashing (dcr/sig.hpp), the op model (dcr/ops.hpp), and the
-//    whole coarse dependence stage (dcr/coarse.hpp) are the *same code* on
-//    both backends; the threads backend calls the shared CoarseAnalyzer
-//    under a mutex where the simulator calls it from its event loop;
+//  * the whole shard front end (dcr/front_end.hpp: §3 call hashing,
+//    creations, op issue with the template dispatch, the auto-trace tap and
+//    window accounting), the op model (dcr/ops.hpp), and the coarse
+//    dependence stage (dcr/coarse.hpp) are the *same code* on both
+//    backends; this backend implements only the front end's hooks, and
+//    calls the shared CoarseAnalyzer under a mutex where the simulator
+//    calls it from its event loop;
 //  * per-shard state that the simulator replicates logically (region forest,
 //    sharding memoization, template store, RNG) is replicated physically —
 //    one instance per thread, no sharing, no locks;
@@ -49,10 +52,10 @@
 #include <string>
 #include <vector>
 
-#include "common/philox.hpp"
 #include "common/types.hpp"
 #include "dcr/api.hpp"
 #include "dcr/coarse.hpp"
+#include "dcr/front_end.hpp"
 #include "dcr/mapper.hpp"
 #include "dcr/ops.hpp"
 #include "dcr/runtime.hpp"
@@ -201,28 +204,15 @@ class ThreadRuntime {
     dcr::scope::TraceCtx ctx;  // context the value was delivered with
   };
 
-  // State owned by exactly one shard thread — the physical replica of what
-  // the simulator backend replicates logically.
-  struct ThreadShard {
-    ShardId id;
-    rt::RegionForest forest;
-    core::ShardingRegistry shardings;
-    std::unique_ptr<statics::InterferenceProver> prover;  // over this forest
-    std::unique_ptr<Philox4x32> rng;
-    core::TemplateManager templates;
-    Hash128 last_template_hash{};
-    // Automatic trace identification (dcr/trace_id.hpp): per-shard detector,
-    // whether the open window is auto-opened, and the end-of-program gate.
-    core::TraceIdentifier auto_tracer;
-    bool auto_open = false;
-    bool auto_stop = false;
+  // State owned by exactly one shard thread: the front end's cursors,
+  // templates and auto tracer (dcr/front_end.hpp), plus the physical replica
+  // of what the simulator backend replicates logically — the front end's
+  // forest and shardings point at this shard's own copies.
+  struct ThreadShard : core::FrontEndState {
+    rt::RegionForest own_forest;
+    core::ShardingRegistry own_shardings;
+    std::unique_ptr<statics::InterferenceProver> prover;  // over own_forest
     Hash128 call_fold{};  // running fold of §3 call hashes, compared at join
-    std::uint64_t next_future = 0;
-    std::uint64_t next_future_map = 0;
-    std::uint64_t next_op = 0;
-    std::uint64_t api_calls = 0;
-    std::uint64_t windows_opened = 0;
-    SimTime window_started = 0;
     std::map<std::uint64_t, CachedFuture> future_cache;  // delivered broadcast values
     std::map<std::uint64_t, FmPartial> fm_partials; // own partials per future map
     std::map<FunctionId, FunctionProfile> profile;  // merged into profile_ at join
@@ -251,15 +241,6 @@ class ThreadRuntime {
   // Returns a copy so callers never touch the cache without the lock.
   core::CoarseDecision coarse_decision(ThreadShard& st, const core::OpRecord& op);
   core::CoarseDecision install_replayed_decision(const core::OpRecord& op);
-  void emit_coarse_decision_locked(const core::OpRecord& op, const core::CoarseDecision& dec);
-
-  // Dependence templates (same logic as DcrRuntime's, on this shard's store).
-  void capture_template_op(ThreadShard& st, const core::OpRecord& op,
-                           const core::CoarseDecision& dec);
-  void validate_template_op(ThreadShard& st, const core::OpRecord& op,
-                            const core::CoarseDecision& dec);
-  std::shared_ptr<const core::PointPlanList> make_point_plan(ThreadShard& st,
-                                                             const core::IndexPayload& index);
 
   std::shared_ptr<FenceCollective> fence_for(OpId dependent);
   void ensure_future(std::uint64_t id, OpId producer);
@@ -269,9 +250,10 @@ class ThreadRuntime {
   CachedFuture wait_broadcast(ThreadShard& st, std::uint64_t id);
   // The calling shard's current causal context; invalid when scope is off.
   dcr::scope::TraceCtx scope_ctx(const ThreadShard& st) const;
-  bool checks_enabled() const;
 
-  void issue(ThreadShard& st, core::OpPayload payload);
+  // The front end's submit hook: create the op's future, then analyse and
+  // execute it inline.
+  void submit_op(ThreadShard& st, const core::OpRecord& op);
   void process_op(ThreadShard& st, const core::OpRecord& op);
   void execute_points(ThreadShard& st, const core::OpRecord& op,
                       const core::CoarseDecision& dec);
@@ -283,14 +265,6 @@ class ThreadRuntime {
                               const std::vector<TaskId>& preds);
   void shard_main(ThreadShard& st, const core::ApplicationMain& main);
   void busy_spin(SimTime wall_ns);
-  // Template window close + hit/miss accounting (mirrors
-  // DcrRuntime::close_template_window).
-  void close_template_window(ThreadShard& st);
-  // Abort AND retire an auto-detected window: unlike an explicit window's
-  // abort (which leaves the slot for its matching end_trace), an auto window
-  // has no end_trace, so it must be closed here (mirrors
-  // DcrRuntime::retire_auto_window).
-  void retire_auto_window(ThreadShard& st, const char* reason);
 
   core::FunctionRegistry& functions_;
   ThreadConfig config_;
@@ -307,12 +281,11 @@ class ThreadRuntime {
 
   std::vector<std::unique_ptr<ThreadShard>> shards_;
 
-  // analysis_mu_ guards the shared analyzer, the statics ledger, the DcrStats
-  // mirrors below, and spy op/coarse-dep emission (program-order streams).
+  // analysis_mu_ guards the shared analyzer, the statics ledger, the
+  // coarse-stage DcrStats mirror below (coarse_deps, fences_elided,
+  // fences_inserted), and spy op/coarse-dep emission (program-order streams).
   std::mutex analysis_mu_;
-  std::uint64_t coarse_deps_ = 0;
-  std::uint64_t fences_elided_ = 0;
-  std::uint64_t fences_inserted_ = 0;
+  core::DcrStats analysis_stats_;
 
   // graph_mu_ guards the user tracker, realized graph/tasks, spy task/edge
   // records, and the per-function profile.
@@ -334,6 +307,8 @@ class ThreadRuntime {
   // dcr-scope ledgers + crash flight recorder; non-null iff config_.scope.
   std::unique_ptr<dcr::scope::Recorder> scope_;
   std::unique_ptr<dcr::scope::FlightRecorder> flight_;
+  // What the shards' front ends read from this runtime (set in the ctor).
+  core::FrontEndEnv front_end_env_;
   bool executed_ = false;
 };
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -530,6 +531,97 @@ TEST(ThreadBackend, ProfLedgerInvariantsReconcile) {
               c.get(prof::Counter::WindowsClosed))
         << "shard " << s;
     EXPECT_GT(c.get(prof::Counter::WindowsClosed), 0u) << "shard " << s;
+  }
+}
+
+// ------------------------------------- Context methods the fuzzers never call
+
+// File attach/detach in both variants, 2-D grid partitions, destroy_region
+// and future_is_ready.  The readiness answer is timing-dependent, so the
+// program calls it (the call is hashed like any other) but never branches on
+// it — branching would be the Figure 5 control-determinism violation.
+ApplicationMain side_effects_program(FunctionId fn) {
+  return [fn](core::Context& ctx) {
+    const FieldSpaceId fs = ctx.create_field_space();
+    const FieldId a = ctx.allocate_field(fs, 8, "a");
+    const FieldId b = ctx.allocate_field(fs, 8, "b");
+    const RegionTreeId tree = ctx.create_region(rt::Rect::r2(0, 15, 0, 7), fs);
+    const IndexSpaceId root = ctx.root(tree);
+    const PartitionId grid = ctx.partition_grid(root, 4, 2);
+    const PartitionId ghost = ctx.partition_grid(root, 4, 2, /*halo=*/1);
+    ctx.attach_file(root, {a}, "a.dat");
+    ctx.attach_file_group(grid, {b}, "b");
+    core::IndexLaunch l;
+    l.fn = fn;
+    l.domain = rt::Rect::r2(0, 3, 0, 1);
+    l.requirements.push_back(
+        rt::GroupRequirement::on_partition(grid, {b}, rt::Privilege::ReadWrite));
+    l.requirements.push_back(
+        rt::GroupRequirement::on_partition(ghost, {a}, rt::Privilege::ReadOnly));
+    ctx.index_launch(l);
+    core::TaskLaunch t;
+    t.fn = fn;
+    t.requirements.push_back({root, {a}, rt::Privilege::ReadWrite, rt::kNoRedop});
+    t.wants_future = true;
+    const core::Future f = ctx.launch(t);
+    (void)ctx.future_is_ready(f);
+    ctx.get_future(f);
+    ctx.detach_file_group(grid, {b});
+    ctx.detach_file(root, {a});
+    const RegionTreeId scratch = ctx.create_region(rt::Rect::r1(0, 31), fs);
+    ctx.fill(ctx.root(scratch), {a});
+    ctx.destroy_region(scratch);
+    ctx.index_launch(l);
+  };
+}
+
+TEST(ExecDifferential, SideEffectsGridsAndDestroyAgreeAcrossBackends) {
+  FunctionRegistry functions;
+  const FunctionId fn = functions.register_simple(
+      "io", us(1), 1.0,
+      [](const core::PointTaskInfo& info) { return static_cast<double>(info.point[0]); });
+  const ApplicationMain app = side_effects_program(fn);
+  for (std::size_t shards : {2u, 4u}) {
+    const std::string what = "side effects, " + std::to_string(shards) + " shards";
+    expect_equivalent(run_sim(app, functions, shards), run_threads(app, functions, shards),
+                      what.c_str());
+  }
+}
+
+// ------------------------------------------------------------- fail-stop
+
+// A control program that throws ends the run as an abort naming the shard and
+// the exception, on both backends.  Every shard throws at the same program
+// point, so no threads-backend shard is left waiting at a fence.
+TEST(ExecFailStop, ThrowingControlProgramAbortsOnBothBackends) {
+  FunctionRegistry functions;
+  const FunctionId fn = functions.register_simple("t", us(1), 1.0);
+  const ApplicationMain app = [fn](core::Context& ctx) {
+    const FieldSpaceId fs = ctx.create_field_space();
+    const FieldId f = ctx.allocate_field(fs, 8, "x");
+    const RegionTreeId tree = ctx.create_region(rt::Rect::r1(0, 63), fs);
+    const PartitionId part = ctx.partition_equal(ctx.root(tree), 4);
+    core::IndexLaunch l;
+    l.fn = fn;
+    l.domain = rt::Rect::r1(0, 3);
+    l.requirements.push_back(
+        rt::GroupRequirement::on_partition(part, {f}, rt::Privilege::ReadWrite));
+    ctx.index_launch(l);
+    throw std::runtime_error("control program gave up");
+  };
+  for (std::size_t shards : {1u, 4u}) {
+    sim::Machine machine(cluster(shards));
+    DcrRuntime sim_rt(machine, functions);
+    ThreadConfig cfg;
+    cfg.num_shards = shards;
+    ThreadRuntime thr_rt(functions, cfg);
+    for (const DcrStats& stats : {sim_rt.execute(app), thr_rt.execute(app)}) {
+      EXPECT_TRUE(stats.aborted) << shards << " shards";
+      EXPECT_FALSE(stats.completed) << shards << " shards";
+      EXPECT_EQ(stats.abort_message.rfind("shard ", 0), 0u) << stats.abort_message;
+      EXPECT_NE(stats.abort_message.find(": control program gave up"), std::string::npos)
+          << stats.abort_message;
+    }
   }
 }
 
