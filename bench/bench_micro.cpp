@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the dependence
 // analysis: the pairwise oracle, region-tree structural queries, the
-// 128-bit call hashing of the determinism checker, the Philox RNG, the
+// 128-bit call hashing of the determinism checker (one small call, and the
+// 1024-rect create_partition signature), the Philox RNG, the
 // interval index, and raw DEPrep transition throughput.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "analysis/random_program.hpp"
 #include "analysis/semantics.hpp"
 #include "common/hash128.hpp"
 #include "common/philox.hpp"
+#include "dcr/sig.hpp"
 #include "runtime/interval_index.hpp"
 #include "runtime/region.hpp"
 #include "runtime/requirement.hpp"
@@ -73,6 +77,22 @@ void BM_ApiCallHash(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApiCallHash);
+
+void BM_CreatePartitionSig(benchmark::State& state) {
+  // The widest §3 call of the stencil: create_partition with one rect per
+  // tile, capture off, as every shard's front end builds it.  On the
+  // simulator all N shards hash it on one host thread, so it costs O(N^2).
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  std::vector<rt::Rect> pieces;
+  for (std::int64_t i = 0; i < n; ++i) pieces.push_back(rt::Rect::r1(i * 100, i * 100 + 99));
+  for (auto _ : state) {
+    core::SigBuilder sb = core::sig_create_partition(false, IndexSpaceId(1), pieces, true);
+    benchmark::DoNotOptimize(sb.finish());
+    benchmark::DoNotOptimize(sb.tfinish());
+  }
+  state.SetItemsProcessed(state.iterations() * n);  // items = rects
+}
+BENCHMARK(BM_CreatePartitionSig)->Arg(64)->Arg(1024);
 
 void BM_PhiloxBlock(benchmark::State& state) {
   Philox4x32::Counter ctr{1, 2, 3, 4};

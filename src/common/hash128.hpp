@@ -2,12 +2,29 @@
 // "we compute a 128-bit hash that captures the API call and all its actual
 // arguments").
 //
-// The construction is two independent 64-bit FNV-1a-style lanes with distinct
-// offset bases and a strong 128->128 finalizer (two rounds of the
-// splitmix64/murmur avalanche applied cross-lane).  It is not cryptographic;
-// the paper only needs collision probabilities low enough that divergent call
-// streams are detected with overwhelming probability, which 128 bits of
-// well-mixed state provides.
+// The construction absorbs input eight bytes at a time into two independent
+// 64-bit lanes.  Each word costs each lane one multiply plus one bit-moving
+// step, with its own constants: lane A xors the word in, multiplies, then
+// xorshifts the high half down; lane B xors, multiplies, then rotates.  The
+// shift and the rotate carry the high input bits into the low state bits, so
+// the next multiply spreads them again.  Words are read with memcpy, so the
+// input needs no alignment and is never type-punned.
+//
+// A bytes() call of n bytes absorbs n/8 full words, then, if n % 8 != 0, one
+// tail word: the remaining bytes in the low end (little-endian order) and the
+// tail's byte count in the top byte.  The count keeps tails of different
+// lengths apart ("ab" is not "ab\0").  A tail word is absorbed with the two
+// lanes' multipliers swapped, so a full word with the same bits takes a
+// different step: eight bytes ending in 0x01 do not hash like one zero byte,
+// and value(uint32 a).value(uint32 b) is two tail steps, not the one
+// full-word step of the same eight bytes.  Variable-length inputs are framed
+// by their callers (string() prefixes the size).
+//
+// finish() is a 128->128 cross-lane avalanche (two rounds of the
+// splitmix64/murmur finalizer), so every input bit reaches both output words.
+// The hash is not cryptographic; the paper only needs collision probabilities
+// low enough that divergent call streams are detected with overwhelming
+// probability, which 128 bits of well-mixed state provides.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +47,15 @@ class Hasher128 {
 
   Hasher128& bytes(const void* data, std::size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      a_ = (a_ ^ p[i]) * kPrimeA;
-      b_ = (b_ ^ p[i]) * kPrimeB;
-      b_ = rotl(b_, 29);
+    for (; n >= 8; p += 8, n -= 8) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, p, 8);
+      absorb(w, kMulA, kMulB);
+    }
+    if (n > 0) {
+      std::uint64_t w = static_cast<std::uint64_t>(n) << 56;
+      for (std::size_t i = 0; i < n; ++i) w |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+      absorb(w, kMulB, kMulA);
     }
     return *this;
   }
@@ -65,8 +87,14 @@ class Hasher128 {
   }
 
  private:
-  static constexpr std::uint64_t kPrimeA = 0x100000001b3ull;      // FNV prime
-  static constexpr std::uint64_t kPrimeB = 0x9ddfea08eb382d69ull; // murmur-ish
+  static constexpr std::uint64_t kMulA = 0xff51afd7ed558ccdull;  // murmur3 fmix64
+  static constexpr std::uint64_t kMulB = 0x9ddfea08eb382d69ull;  // cityhash kMul
+
+  void absorb(std::uint64_t w, std::uint64_t mul_a, std::uint64_t mul_b) {
+    a_ = (a_ ^ w) * mul_a;
+    a_ ^= a_ >> 29;
+    b_ = rotl((b_ ^ w) * mul_b, 31);
+  }
 
   static constexpr std::uint64_t rotl(std::uint64_t v, int s) {
     return (v << s) | (v >> (64 - s));

@@ -85,8 +85,16 @@ class DeterminismChecker {
   std::uint64_t checks_issued() const { return checks_issued_; }
   std::uint64_t checks_completed() const { return checks_completed_; }
   std::uint64_t violations() const { return violations_; }
-  // Calls whose collectives never completed (shards diverged in call counts).
-  std::size_t checks_unresolved() const { return pending_.size(); }
+  // The lowest call index whose collective never completed, with its
+  // description: some shard's call stream ended before reaching it.
+  struct Unresolved {
+    std::uint64_t call_index;
+    std::string what;
+  };
+  std::optional<Unresolved> first_unresolved() const {
+    if (pending_.empty()) return std::nullopt;
+    return Unresolved{pending_.begin()->first, pending_.begin()->second.what};
+  }
 
   // Invoked once, when the *first* failed check resolves, with the violation
   // message.  The runtime uses this to upgrade the violation flag into a

@@ -1097,7 +1097,25 @@ DcrStats DcrRuntime::execute(const ApplicationMain& main) {
     stats_.determinism_violation = true;
     stats_.violation_message = checker_.violation_message();
   }
-  if (checker_.checks_unresolved() > 0) stats_.completed = false;
+  if (const auto unresolved = checker_.first_unresolved()) {
+    stats_.completed = false;
+    // Equal hashes over the common prefix, but a shorter call stream on some
+    // shard: name the shards that stopped before the first unresolved call.
+    if (!stats_.determinism_violation && !aborted_) {
+      std::string ids;
+      std::size_t count = 0;
+      for (const auto& st : shards_) {
+        if (st->api_calls > unresolved->call_index) continue;
+        ids += (count++ ? ", " : "") + std::to_string(st->id.value);
+      }
+      stats_.determinism_violation = true;
+      stats_.violation_message = std::string("control determinism violation: ") +
+                                 (count == 1 ? "shard " : "shards ") + ids +
+                                 " stopped before API call " +
+                                 std::to_string(unresolved->call_index) + " (" +
+                                 unresolved->what + ")";
+    }
+  }
   stats_.bytes_moved = physical_.bytes_moved();
   stats_.messages = machine_.network().stats().messages;
   for (std::size_t n = 0; n < machine_.num_nodes(); ++n) {

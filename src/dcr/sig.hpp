@@ -21,29 +21,52 @@
 
 namespace dcr::core {
 
+// An argument's name in the spy capture: a plain literal ("fn") or an
+// indexed one, <stem><index><suffix> ("piece3", "req0.region").  Only a
+// SigBuilder with capture on spells it out, so a call with capture off builds
+// no strings for its names.
+class ArgKey {
+ public:
+  ArgKey(const char* name) : stem_(name) {}  // implicit: arg("fn", v)
+  ArgKey(const char* stem, std::size_t index, const char* suffix = "")
+      : stem_(stem), suffix_(suffix), index_(index), indexed_(true) {}
+
+  std::string str() const {
+    return indexed_ ? stem_ + std::to_string(index_) + suffix_ : std::string(stem_);
+  }
+
+ private:
+  const char* stem_;
+  const char* suffix_ = "";
+  std::size_t index_ = 0;
+  bool indexed_ = false;
+};
+
 // Builds the §3 call-identity hash and, when spy trace recording is on, a
 // parallel list of the same arguments as named text — the raw material for
 // the control-determinism linter's argument-level diff (spy/verify.hpp).
-// With capture off, this is the plain Hasher128 path plus one branch per arg.
+// With capture off, this is the plain Hasher128 path plus two branches per
+// arg: argument names (ArgKey) and values are turned into text only when
+// capture is on.
 //
-// A second lane accumulates the *template-identity* hash (dcr/template.hpp):
-// the same construction minus the arguments declared volatile via varg() —
-// scalar task arguments and future / future-map ids, which legitimately
-// differ across loop iterations without changing any analysis decision.  The
-// full §3 hash still covers them, so the determinism checker is unaffected.
+// It also yields the *template-identity* hash (dcr/template.hpp): the same
+// construction minus the arguments declared volatile via varg() — scalar task
+// arguments and future / future-map ids, which legitimately differ across
+// loop iterations without changing any analysis decision.  The full §3 hash
+// still covers them, so the determinism checker is unaffected.  Up to the
+// first varg() the two hashes have absorbed the same input, so each argument
+// is hashed once into one shared lane; the first varg() copies that lane into
+// the template lane, and from then on non-volatile arguments go to both.
+// tfinish() of a call with no volatile argument is therefore finish().
 class SigBuilder {
  public:
-  SigBuilder(const char* name, bool capture) : capture_(capture) {
-    h_.string(name);
-    t_.string(name);
-  }
+  SigBuilder(const char* name, bool capture) : capture_(capture) { h_.string(name); }
 
   template <typename T>
     requires std::is_integral_v<T>
-  SigBuilder& arg(const char* key, T v) {
-    h_.value(v);
-    t_.value(v);
-    if (capture_) args_.push_back({key, std::to_string(v)});
+  SigBuilder& arg(ArgKey key, T v) {
+    both([&](Hasher128& lane) { lane.value(v); });
+    if (capture_) args_.push_back({key.str(), std::to_string(v)});
     return *this;
   }
 
@@ -51,28 +74,30 @@ class SigBuilder {
   // template identity.
   template <typename T>
     requires std::is_integral_v<T>
-  SigBuilder& varg(const char* key, T v) {
+  SigBuilder& varg(ArgKey key, T v) {
+    if (!split_) {
+      t_ = h_;
+      split_ = true;
+    }
     h_.value(v);
-    if (capture_) args_.push_back({key, std::to_string(v)});
+    if (capture_) args_.push_back({key.str(), std::to_string(v)});
     return *this;
   }
 
   template <typename T>
     requires std::is_enum_v<T>
-  SigBuilder& arg(const char* key, T v) {
+  SigBuilder& arg(ArgKey key, T v) {
     return arg(key, static_cast<std::underlying_type_t<T>>(v));
   }
 
-  SigBuilder& arg(const char* key, const std::string& s) {
-    h_.string(s);
-    t_.string(s);
-    if (capture_) args_.push_back({key, s});
+  SigBuilder& arg(ArgKey key, const std::string& s) {
+    both([&](Hasher128& lane) { lane.string(s); });
+    if (capture_) args_.push_back({key.str(), s});
     return *this;
   }
 
-  SigBuilder& arg(const char* key, const rt::Rect& r) {
-    h_.value(r.dim).value(r.lo).value(r.hi);
-    t_.value(r.dim).value(r.lo).value(r.hi);
+  SigBuilder& arg(ArgKey key, const rt::Rect& r) {
+    both([&](Hasher128& lane) { lane.value(r.dim).value(r.lo).value(r.hi); });
     if (capture_) {
       std::string v = "[";
       for (int d = 0; d < r.dim; ++d) {
@@ -80,34 +105,43 @@ class SigBuilder {
         v += std::to_string(r.lo[static_cast<std::size_t>(d)]) + ".." +
              std::to_string(r.hi[static_cast<std::size_t>(d)]);
       }
-      args_.push_back({key, v + "]"});
+      args_.push_back({key.str(), v + "]"});
     }
     return *this;
   }
 
-  SigBuilder& arg(const char* key, const std::vector<FieldId>& fields) {
-    h_.value(fields.size());
-    t_.value(fields.size());
-    std::string v = "{";
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      h_.value(fields[i].value);
-      t_.value(fields[i].value);
-      if (capture_) {
+  SigBuilder& arg(ArgKey key, const std::vector<FieldId>& fields) {
+    both([&](Hasher128& lane) {
+      lane.value(fields.size());
+      for (const FieldId f : fields) lane.value(f.value);
+    });
+    if (capture_) {
+      std::string v = "{";
+      for (std::size_t i = 0; i < fields.size(); ++i) {
         if (i) v += ',';
         v += std::to_string(fields[i].value);
       }
+      args_.push_back({key.str(), v + "}"});
     }
-    if (capture_) args_.push_back({key, v + "}"});
     return *this;
   }
 
   Hash128 finish() const { return h_.finish(); }
-  Hash128 tfinish() const { return t_.finish(); }
+  Hash128 tfinish() const { return split_ ? t_.finish() : h_.finish(); }
   std::vector<spy::CallArg> take_args() { return std::move(args_); }
 
  private:
-  Hasher128 h_;
-  Hasher128 t_;
+  // Feeds a non-volatile argument to the §3 lane and, once split, to the
+  // template lane.
+  template <typename Feed>
+  void both(Feed&& feed) {
+    feed(h_);
+    if (split_) feed(t_);
+  }
+
+  Hasher128 h_;  // §3 lane; also the template lane until the first varg()
+  Hasher128 t_;  // template lane, live once split_
+  bool split_ = false;
   bool capture_;
   std::vector<spy::CallArg> args_;
 };
@@ -150,7 +184,7 @@ inline SigBuilder sig_create_partition(bool capture, IndexSpaceId parent,
   SigBuilder sb("create_partition", capture);
   sb.arg("parent", parent.value).arg("pieces", pieces.size()).arg("disjoint", disjoint);
   for (std::size_t i = 0; i < pieces.size(); ++i) {
-    sb.arg(("piece" + std::to_string(i)).c_str(), pieces[i]);
+    sb.arg({"piece", i}, pieces[i]);
   }
   return sb;
 }
@@ -181,16 +215,15 @@ inline SigBuilder sig_launch(bool capture, const TaskLaunch& launch) {
   sb.arg("fn", launch.fn.value).arg("num_reqs", launch.requirements.size());
   for (std::size_t i = 0; i < launch.requirements.size(); ++i) {
     const auto& r = launch.requirements[i];
-    const std::string k = "req" + std::to_string(i);
-    sb.arg((k + ".region").c_str(), r.region.value);
-    sb.arg((k + ".privilege").c_str(), r.privilege);
-    sb.arg((k + ".redop").c_str(), r.redop);
-    sb.arg((k + ".fields").c_str(), r.fields);
+    sb.arg({"req", i, ".region"}, r.region.value);
+    sb.arg({"req", i, ".privilege"}, r.privilege);
+    sb.arg({"req", i, ".redop"}, r.redop);
+    sb.arg({"req", i, ".fields"}, r.fields);
   }
   for (std::size_t i = 0; i < launch.args.size(); ++i) {
     // Scalar task arguments (e.g. the loop index) are volatile: they do not
     // affect any dependence-analysis decision.
-    sb.varg(("arg" + std::to_string(i)).c_str(), launch.args[i]);
+    sb.varg({"arg", i}, launch.args[i]);
   }
   return sb;
 }
@@ -201,16 +234,15 @@ inline SigBuilder sig_index_launch(bool capture, const IndexLaunch& launch) {
   sb.arg("sharding", launch.sharding.value);
   for (std::size_t i = 0; i < launch.requirements.size(); ++i) {
     const auto& r = launch.requirements[i];
-    const std::string k = "req" + std::to_string(i);
-    sb.arg((k + ".partition").c_str(), r.partition.value);
-    sb.arg((k + ".region").c_str(), r.region.value);
-    sb.arg((k + ".projection").c_str(), r.projection.value);
-    sb.arg((k + ".privilege").c_str(), r.privilege);
-    sb.arg((k + ".redop").c_str(), r.redop);
-    sb.arg((k + ".fields").c_str(), r.fields);
+    sb.arg({"req", i, ".partition"}, r.partition.value);
+    sb.arg({"req", i, ".region"}, r.region.value);
+    sb.arg({"req", i, ".projection"}, r.projection.value);
+    sb.arg({"req", i, ".privilege"}, r.privilege);
+    sb.arg({"req", i, ".redop"}, r.redop);
+    sb.arg({"req", i, ".fields"}, r.fields);
   }
   for (std::size_t i = 0; i < launch.args.size(); ++i) {
-    sb.varg(("arg" + std::to_string(i)).c_str(), launch.args[i]);
+    sb.varg({"arg", i}, launch.args[i]);
   }
   return sb;
 }

@@ -4,10 +4,12 @@
 #include <map>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "common/hash128.hpp"
 #include "common/philox.hpp"
 #include "common/types.hpp"
+#include "runtime/geometry.hpp"
 
 namespace dcr {
 namespace {
@@ -89,6 +91,63 @@ TEST(Hash128, NoCollisionsOverManySmallInputs) {
     h.value(i);
     const Hash128 v = h.finish();
     EXPECT_TRUE(seen.insert({v.lo, v.hi}).second) << "collision at " << i;
+  }
+}
+
+// The word path: Rect-sized inputs, tail packing, short lengths.
+
+Hash128 hash_rect(const rt::Rect& r) {
+  Hasher128 h;
+  h.value(r.dim).value(r.lo).value(r.hi);  // as SigBuilder hashes a Rect
+  return h.finish();
+}
+
+TEST(Hash128, EveryRectBitReachesBothOutputWords) {
+  const rt::Rect base = rt::Rect::r3(-3, 1021, 7, 8, 1 << 20, (1ll << 40) + 5);
+  const Hash128 h0 = hash_rect(base);
+  const auto check = [&](const rt::Rect& r, const char* field, int bit) {
+    const Hash128 h = hash_rect(r);
+    EXPECT_NE(h.lo, h0.lo) << field << " bit " << bit;
+    EXPECT_NE(h.hi, h0.hi) << field << " bit " << bit;
+  };
+  for (int bit = 0; bit < 32; ++bit) {
+    rt::Rect r = base;
+    r.dim ^= 1 << bit;
+    check(r, "dim", bit);
+  }
+  for (std::size_t d = 0; d < static_cast<std::size_t>(rt::kMaxDim); ++d) {
+    for (int bit = 0; bit < 64; ++bit) {
+      rt::Rect lo = base, hi = base;
+      lo.lo[d] ^= static_cast<std::int64_t>(1ull << bit);
+      hi.hi[d] ^= static_cast<std::int64_t>(1ull << bit);
+      check(lo, "lo", bit);
+      check(hi, "hi", bit);
+    }
+  }
+}
+
+TEST(Hash128, TwoHalfWordsDifferFromOneWord) {
+  // Each short value is its own tail word, so the chunking is part of the
+  // input even when the concatenated bytes are the same.
+  const std::uint32_t a = 0x01234567u, b = 0x89abcdefu;
+  Hasher128 halves, whole;
+  halves.value(a).value(b);
+  whole.value((static_cast<std::uint64_t>(b) << 32) | a);
+  EXPECT_NE(halves.finish(), whole.finish());
+}
+
+TEST(Hash128, ShortStringsDifferingInTheLastByteAllDiffer) {
+  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+  const Hash128 empty = Hasher128().bytes("", 0).finish();
+  seen.insert({empty.lo, empty.hi});
+  for (std::size_t len = 1; len <= 17; ++len) {
+    for (unsigned char last : {0x00, 0x01, 0x80, 0xff}) {
+      std::vector<unsigned char> s(len, 0);
+      s.back() = last;
+      const Hash128 v = Hasher128().bytes(s.data(), s.size()).finish();
+      EXPECT_TRUE(seen.insert({v.lo, v.hi}).second)
+          << "length " << len << " last byte " << int{last};
+    }
   }
 }
 

@@ -261,6 +261,23 @@ TEST(DcrRuntime, DeterminismCheckerCatchesDivergentArguments) {
   EXPECT_TRUE(stats.determinism_violation);
 }
 
+TEST(DcrRuntime, DeterminismCheckerCatchesShorterCallStream) {
+  // The common prefix hashes equal, but shard 1 issues one execution_fence
+  // fewer: the check its peer is waiting on can never resolve, and the run
+  // must name the shard that stopped and the call it never made.
+  Harness h(2);
+  const DcrStats stats = h.runtime.execute([&](Context& ctx) {
+    ctx.execution_fence();
+    if (ctx.shard_id().value == 0) ctx.execution_fence();
+  });
+  EXPECT_FALSE(stats.completed);
+  EXPECT_TRUE(stats.determinism_violation);
+  EXPECT_NE(stats.violation_message.find("shard 1 stopped before API call"), std::string::npos)
+      << stats.violation_message;
+  EXPECT_NE(stats.violation_message.find("(execution_fence)"), std::string::npos)
+      << stats.violation_message;
+}
+
 TEST(DcrRuntime, ChecksCanBeDisabled) {
   DcrConfig cfg;
   cfg.determinism_checks = false;
