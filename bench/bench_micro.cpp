@@ -2,9 +2,11 @@
 // analysis: the pairwise oracle, region-tree structural queries, the
 // 128-bit call hashing of the determinism checker (one small call, and the
 // 1024-rect create_partition signature), the Philox RNG, the
-// interval index, and raw DEPrep transition throughput.
+// interval index (with and without a whole-domain entry), simulator event
+// merges, and raw DEPrep transition throughput.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "analysis/random_program.hpp"
@@ -15,6 +17,7 @@
 #include "runtime/interval_index.hpp"
 #include "runtime/region.hpp"
 #include "runtime/requirement.hpp"
+#include "sim/event.hpp"
 
 namespace dcr {
 namespace {
@@ -105,11 +108,15 @@ void BM_PhiloxBlock(benchmark::State& state) {
 BENCHMARK(BM_PhiloxBlock);
 
 void BM_IntervalIndexQuery(benchmark::State& state) {
+  // A 150-cell query over n disjoint 100-cell pieces.  With the second arg
+  // set, one whole-domain entry (a region-wide fill or reduction) is present
+  // too, as in the trackers of the circuit and stencil workloads.
   rt::IntervalIndex<int> index;
   const std::int64_t n = state.range(0);
   for (std::int64_t i = 0; i < n; ++i) {
     index.insert(rt::Rect::r1(i * 100, i * 100 + 99), static_cast<int>(i));
   }
+  if (state.range(1) != 0) index.insert(rt::Rect::r1(0, n * 100 - 1), -1);
   std::int64_t q = 0;
   for (auto _ : state) {
     int hits = 0;
@@ -119,7 +126,29 @@ void BM_IntervalIndexQuery(benchmark::State& state) {
     q += 137;
   }
 }
-BENCHMARK(BM_IntervalIndexQuery)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_IntervalIndexQuery)->ArgsProduct({{64, 1024, 16384}, {0, 1}});
+
+void BM_MergeEvents(benchmark::State& state) {
+  // The life of one fine-stage precondition: n pending inputs merged, a
+  // waiter on the merge, then every input triggers.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::UserEvent> inputs(n);
+  std::vector<sim::Event> handles(n);
+  SimTime now = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i) {
+      inputs[i] = sim::UserEvent();
+      handles[i] = inputs[i];
+    }
+    int fired = 0;
+    sim::merge_events(std::span<const sim::Event>(handles)).on_trigger([&] { ++fired; });
+    ++now;
+    for (const sim::UserEvent& e : inputs) e.trigger(now);
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));  // items = inputs
+}
+BENCHMARK(BM_MergeEvents)->Arg(2)->Arg(8)->Arg(32);
 
 void BM_DepRepAnalysis(benchmark::State& state) {
   // Raw DEPrep transition throughput over a random program (Section 2

@@ -47,7 +47,7 @@ class UserTracker {
     std::vector<sim::Event> events;
     // Collect conflicts, and prune superseded / completed uses in one pass.
     const bool writer = rt::is_writer(priv);
-    auto removed = uses.extract_overlapping_if(rect, [&](const auto& item) {
+    uses.erase_overlapping_if(rect, [&](const auto& item) {
       const Use& u = item.value;
       // A task never conflicts with itself: multiple requirements of one
       // task (e.g. RW owned + RO ghost of the same field) share a completion.
@@ -68,7 +68,6 @@ class UserTracker {
       const bool completed = !keep_completed_ && u.done.has_triggered();
       return superseded || completed;
     });
-    (void)removed;
     uses.insert(rect, Use{priv, redop, task, std::move(done)});
     out.precondition = events.empty()
                            ? sim::Event::no_event()

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/check.hpp"
@@ -34,12 +35,13 @@ class Processor {
   // Enqueue a work item that becomes eligible when `precondition` triggers,
   // occupies the processor for `duration`, then triggers the returned event.
   // `body` (optional) runs at completion on the simulation thread; `label`
-  // names the interval in an attached timeline.
+  // names the interval in an attached timeline, and is copied only when one
+  // is attached (timelines are attached before the simulation runs).
   Event enqueue(SimTime duration, const Event& precondition = Event::no_event(),
-                std::function<void()> body = nullptr, std::string label = {}) {
+                std::function<void()> body = nullptr, std::string_view label = {}) {
     UserEvent done;
     auto start_fn = [this, duration, done, body = std::move(body),
-                     label = std::move(label)]() mutable {
+                     label = timeline_ ? std::string(label) : std::string()]() mutable {
       const SimTime start = std::max(sim_.now(), busy_until_);
       // Straggler injection: work starting inside a slowdown window stretches.
       if (faults_) duration = faults_->scaled_duration(node_, start, duration);

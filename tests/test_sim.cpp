@@ -75,6 +75,83 @@ TEST(Event, MergeOfNeverTriggeredInputsIsFreed) {
   EXPECT_TRUE(watch.expired());
 }
 
+TEST(Event, MergeOfPartlyTriggeredNestedInputsIsFreed) {
+  // One input fires, the other never does: the merge (and a merge built on
+  // it) must still die with the never-triggered input.
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  {
+    UserEvent a, b;
+    const Event inner = merge_events({a, b});
+    UserEvent c;
+    const Event outer = merge_events({inner, c});
+    outer.on_trigger([s = std::move(sentinel)] {});
+    a.trigger(1);
+    c.trigger(2);
+    EXPECT_FALSE(outer.has_triggered());
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(Event, MergeWithSameInputTwice) {
+  UserEvent a, b;
+  const Event twice = merge_events({a, a});
+  const Event mixed = merge_events({a, b, a});
+  a.trigger(4);
+  EXPECT_TRUE(twice.has_triggered());
+  EXPECT_EQ(twice.trigger_time(), 4u);
+  EXPECT_FALSE(mixed.has_triggered());
+  b.trigger(6);
+  EXPECT_TRUE(mixed.has_triggered());
+  EXPECT_EQ(mixed.trigger_time(), 6u);
+}
+
+TEST(Event, WaitersOnDroppedMergedEventStillRun) {
+  // The merged event's last handle dies before its inputs trigger; its
+  // inputs keep it alive, so its waiters run at the last input's trigger.
+  UserEvent a, b;
+  int fired = 0;
+  int outer_fired = 0;
+  {
+    const Event m = merge_events({a, b});
+    m.on_trigger([&] { ++fired; });
+    merge_events({m, a}).on_trigger([&] { ++outer_fired; });
+  }
+  a.trigger(3);
+  EXPECT_EQ(fired + outer_fired, 0);
+  b.trigger(8);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(outer_fired, 1);
+}
+
+TEST(Event, NestedMergeCascadeRunsCallbacksInOrder) {
+  // A merged event fires inside its last input's waiter loop, at the slot
+  // where it was registered: "m1" and everything cascading from it run
+  // before "b1", which was registered on b after m1's merge.
+  UserEvent a, b, c;
+  std::vector<std::string> log;
+  const auto note = [&log](const char* what) { return [&log, what] { log.push_back(what); }; };
+  a.on_trigger(note("a1"));
+  const Event m1 = merge_events({a, b});
+  a.on_trigger(note("a2"));
+  m1.on_trigger(note("m1"));
+  const Event m2 = merge_events({m1, a, c});
+  b.on_trigger(note("b1"));
+  m2.on_trigger(note("m2"));
+  const Event m3 = merge_events({m1, b});
+  m3.on_trigger(note("m3"));
+  const Event m4 = merge_events({m2, m3});
+  m4.on_trigger(note("m4"));
+  m1.on_trigger(note("m1-late"));
+  c.trigger(1);
+  a.trigger(2);
+  EXPECT_EQ(log, (std::vector<std::string>{"a1", "a2"}));
+  b.trigger(3);
+  EXPECT_EQ(log, (std::vector<std::string>{"a1", "a2", "m1", "m2", "m1-late", "b1", "m3",
+                                           "m4"}));
+  for (const Event& e : {m1, m2, m3, m4}) EXPECT_EQ(e.trigger_time(), 3u);
+}
+
 // ----------------------------------------------------------------- simulator
 
 TEST(Simulator, RunsEventsInTimeOrder) {
