@@ -78,9 +78,9 @@ struct ReqSummary {
 bool summaries_shard_local(const rt::RegionForest& forest, const ReqSummary& prev,
                            const ReqSummary& next);
 
-// Fine-stage mapping of one owned point of an index launch: everything
-// execute_points derives from the region forest + projection functions, so a
-// replay can launch the point without touching either.
+// Fine-stage mapping of one owned point of an index launch: everything the
+// fine stage (dcr/fine_stage.hpp) derives from the region forest + projection
+// functions, so a replay can launch the point without touching either.
 struct PointPlan {
   rt::Point point;
   std::uint64_t point_index = 0;       // linearized within the launch domain

@@ -11,11 +11,13 @@
 //
 //  * the whole shard front end (dcr/front_end.hpp: §3 call hashing,
 //    creations, op issue with the template dispatch, the auto-trace tap and
-//    window accounting), the op model (dcr/ops.hpp), and the coarse
-//    dependence stage (dcr/coarse.hpp) are the *same code* on both
-//    backends; this backend implements only the front end's hooks, and
-//    calls the shared CoarseAnalyzer under a mutex where the simulator
-//    calls it from its event loop;
+//    window accounting), the op model (dcr/ops.hpp), the coarse dependence
+//    stage (dcr/coarse.hpp) and the fine stage (dcr/fine_stage.hpp: point
+//    ownership, task numbering, user tracking, realized graph, spy task
+//    records, future-map partials) are the *same code* on both backends;
+//    this backend implements only the front end's and the fine stage's
+//    hooks, and calls the shared CoarseAnalyzer under a mutex where the
+//    simulator calls it from its event loop;
 //  * per-shard state that the simulator replicates logically (region forest,
 //    sharding memoization, template store, RNG) is replicated physically —
 //    one instance per thread, no sharing, no locks;
@@ -49,12 +51,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
 #include "dcr/api.hpp"
 #include "dcr/coarse.hpp"
+#include "dcr/fine_stage.hpp"
 #include "dcr/front_end.hpp"
 #include "dcr/mapper.hpp"
 #include "dcr/ops.hpp"
@@ -134,7 +138,7 @@ struct ThreadConfig {
   core::Mapper* mapper = nullptr;
 };
 
-class ThreadRuntime {
+class ThreadRuntime : private core::FineHooks {
  public:
   ThreadRuntime(core::FunctionRegistry& functions, ThreadConfig config = {});
   ~ThreadRuntime();
@@ -160,19 +164,12 @@ class ThreadRuntime {
   const spy::Trace* trace() const { return trace_.get(); }
   prof::Profiler& profiler() { return profiler_; }
   const prof::Profiler& profiler() const { return profiler_; }
-  const rt::TaskGraph& realized_graph() const { return realized_graph_; }
-  struct RealizedTask {
-    TaskId id;
-    OpId op;
-    std::uint64_t point_index;
-  };
-  const std::vector<RealizedTask>& realized_tasks() const { return realized_tasks_; }
+  const rt::TaskGraph& realized_graph() const { return fine_.realized_graph(); }
+  using RealizedTask = core::RealizedTask;
+  const std::vector<RealizedTask>& realized_tasks() const { return fine_.realized_tasks(); }
   const statics::LaunchLedger& statics_ledger() const { return statics_ledger_; }
-  struct FunctionProfile {
-    std::uint64_t tasks = 0;
-    SimTime total_time = 0;  // summed virtual durations (cost model, not wall)
-  };
-  const std::map<FunctionId, FunctionProfile>& profile() const { return profile_; }
+  // Summed virtual durations (cost model, not wall); complete at join.
+  const std::map<FunctionId, core::FunctionProfile>& profile() const { return fine_.profile(); }
   core::TemplateManager& shard_templates(ShardId s);
   const core::TraceIdentifier& shard_auto_tracer(ShardId s);
   const Clock& clock() const { return clock_; }
@@ -184,12 +181,6 @@ class ThreadRuntime {
 
  private:
   friend class ThreadShardContext;
-
-  struct FmPartial {
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-  };
 
   struct FutureMsg {
     std::uint64_t id = 0;
@@ -214,8 +205,6 @@ class ThreadRuntime {
     std::unique_ptr<statics::InterferenceProver> prover;  // over own_forest
     Hash128 call_fold{};  // running fold of §3 call hashes, compared at join
     std::map<std::uint64_t, CachedFuture> future_cache;  // delivered broadcast values
-    std::map<std::uint64_t, FmPartial> fm_partials; // own partials per future map
-    std::map<FunctionId, FunctionProfile> profile;  // merged into profile_ at join
     // Inbound future-value transport: one SPSC ring per producer shard plus
     // a mutexed overflow so producers never block (see ThreadConfig).
     std::vector<std::unique_ptr<SpscQueue<FutureMsg>>> inbox;
@@ -255,14 +244,11 @@ class ThreadRuntime {
   // execute it inline.
   void submit_op(ThreadShard& st, const core::OpRecord& op);
   void process_op(ThreadShard& st, const core::OpRecord& op);
-  void execute_points(ThreadShard& st, const core::OpRecord& op,
-                      const core::CoarseDecision& dec);
-  void launch_point_task(ThreadShard& st, const core::OpRecord& op, const rt::Point& point,
-                         std::uint64_t point_index, const std::vector<rt::Requirement>& reqs,
-                         const std::vector<std::int64_t>& args, FunctionId fn,
-                         std::uint64_t future_map_id, std::uint64_t future_id = ~0ull);
-  void record_realized_locked(TaskId tid, OpId op, std::uint64_t point_index,
-                              const std::vector<TaskId>& preds);
+
+  // ---- fine-stage hooks (dcr/fine_stage.hpp): run each point inline ----
+  void run_point(core::FineWork& w, core::PointTaskInfo info, SimTime duration) override;
+  void contribute_reduce(const core::FrontEndState& st, const core::ReducePayload& red,
+                         const core::FmPartial& partial) override;
   void shard_main(ThreadShard& st, const core::ApplicationMain& main);
   void busy_spin(SimTime wall_ns);
 
@@ -272,7 +258,9 @@ class ThreadRuntime {
   WallClock clock_;
   rt::ProjectionRegistry projections_;
   statics::LaunchLedger statics_ledger_;
-  core::UserTracker tracker_;
+  // Point-level user tracking feeds only the realized graph here, so the
+  // tracker exists only under record_task_graph.
+  std::optional<core::UserTracker> tracker_;
   core::CoarseAnalyzer coarse_{
       core::CoarseAnalyzer::Options{config_.disable_fence_elision, config_.static_analysis,
                                     config_.statics_check},
@@ -287,19 +275,11 @@ class ThreadRuntime {
   std::mutex analysis_mu_;
   core::DcrStats analysis_stats_;
 
-  // graph_mu_ guards the user tracker, realized graph/tasks, spy task/edge
-  // records, and the per-function profile.
-  std::mutex graph_mu_;
-  rt::TaskGraph realized_graph_;
-  std::vector<RealizedTask> realized_tasks_;
-  std::map<FunctionId, FunctionProfile> profile_;
-
   std::mutex futures_mu_;
   std::map<std::uint64_t, FutureEntry> futures_;
   std::mutex fences_mu_;
   std::map<std::uint64_t, std::shared_ptr<FenceCollective>> fences_;
 
-  std::atomic<std::uint64_t> point_tasks_launched_{0};
   std::atomic<std::uint64_t> determinism_checks_{0};
   std::atomic<std::uint64_t> traced_ops_{0};
 
@@ -309,6 +289,8 @@ class ThreadRuntime {
   std::unique_ptr<dcr::scope::FlightRecorder> flight_;
   // What the shards' front ends read from this runtime (set in the ctor).
   core::FrontEndEnv front_end_env_;
+  core::FineStage fine_{front_end_env_, functions_, tracker_ ? &*tracker_ : nullptr,
+                        config_.num_shards, config_.record_task_graph, /*concurrent=*/true};
   bool executed_ = false;
 };
 

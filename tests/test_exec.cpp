@@ -581,7 +581,8 @@ TEST(ExecDifferential, SideEffectsGridsAndDestroyAgreeAcrossBackends) {
       "io", us(1), 1.0,
       [](const core::PointTaskInfo& info) { return static_cast<double>(info.point[0]); });
   const ApplicationMain app = side_effects_program(fn);
-  for (std::size_t shards : {2u, 4u}) {
+  // 3 shards own the 8-piece attach group unevenly; 8 own one piece each.
+  for (std::size_t shards : {2u, 3u, 4u, 8u}) {
     const std::string what = "side effects, " + std::to_string(shards) + " shards";
     expect_equivalent(run_sim(app, functions, shards), run_threads(app, functions, shards),
                       what.c_str());
