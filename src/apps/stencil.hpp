@@ -31,8 +31,11 @@ struct StencilConfig {
   // >0: every k-th step the control program reduces a per-tile residual and
   // branches on it (a convergence guard) — the canonical control-feeding
   // future chain the SDC replication layer (dcr/replicate) protects.  The
-  // residual launch sits outside the trace window so traced replay is
-  // unaffected.
+  // residual launch sits outside the trace window, but that does not make
+  // replay safe: a window replayed at a different distance from the last
+  // residual reuses stale dependence offsets, so with use_trace a cadence
+  // >= 3 replays unsoundly (spy::verify reports unsound elisions) until
+  // replay validates the ops between windows (ROADMAP item 1).
   std::size_t residual_every = 0;
   // >0: alternate between two loop-body shapes every `phase_every` steps —
   // the odd phases run an extra smoothing launch, so the task stream's period
