@@ -68,7 +68,7 @@ RunResult run(bool profile, bool record_trace) {
   r.fences_issued = g.get(prof::GlobalCounter::FencesIssued);
   r.fences_elided = g.get(prof::GlobalCounter::FencesElided);
   r.decisions = g.get(prof::GlobalCounter::FenceDecisions);
-  r.spans = rt.profiler().spans().size();
+  r.spans = rt.ledger() != nullptr ? rt.ledger()->spans().size() : 0;
   if (const spy::Trace* trace = rt.trace()) {
     for (const auto& d : trace->coarse_deps) (d.elided ? r.spy_elided : r.spy_issued)++;
   }

@@ -67,7 +67,7 @@ RunResult run(bool scope) {
     r.fences = blame.fences.size();
     r.complete = blame.complete_fences;
     r.attributed = blame.attributed;
-    r.spans = rt.scope()->spans().size();
+    r.spans = rt.scope()->fine_spans_recorded();
     r.reconciled = blame.reconciled();
   }
   return r;

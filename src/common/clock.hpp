@@ -3,9 +3,9 @@
 // The simulator backend stamps spans with virtual nanoseconds (sim::SimClock
 // reads the event calendar); the real-threads backend stamps them with wall
 // nanoseconds (exec::WallClock reads std::chrono::steady_clock).  Everything
-// downstream — prof::Scope, the Chrome trace exporter, the scope blame
-// ledgers — consumes SimTime without knowing which kind it holds, so the two
-// backends share the instrumentation layers unchanged.
+// downstream — the span ledger (scope::Recorder), the Chrome trace exporter,
+// the scope blame reports — consumes SimTime without knowing which kind it
+// holds, so the two backends share the instrumentation layers unchanged.
 #pragma once
 
 #include "common/types.hpp"

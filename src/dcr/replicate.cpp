@@ -148,8 +148,7 @@ void ReplicationExecutor::launch_replica(Ticket& t) {
           machine_.network().send(src, dst, config_.digest_bytes)
               .on_trigger([this, id, exec, shard, value] { cast(id, exec, shard, value); });
         }
-      },
-      t.label + "!r" + std::to_string(exec));
+      });
 }
 
 void ReplicationExecutor::primary_complete(std::uint64_t ticket) {

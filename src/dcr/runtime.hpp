@@ -126,7 +126,8 @@ struct DcrConfig {
   // dcr-prof span timeline (prof/profiler.hpp).  The per-shard counter
   // registry is always on — every run can report fence/elision/template/
   // recovery metrics — but structured spans (analysis stages, replay, fence
-  // and future waits, trace windows) are only recorded under this knob.
+  // and future waits, trace windows) are only recorded into the span ledger
+  // (DcrRuntime::ledger()) under this knob.
   // Host-side cost only; no virtual-time cost, so profiling never perturbs
   // the analysis or the realized task graph.
   bool profile = false;
@@ -283,16 +284,19 @@ class DcrRuntime : private FineHooks {
   // dcr-spy execution trace (only populated with config.record_trace).
   const spy::Trace* trace() const { return trace_.get(); }
 
-  // dcr-prof metrics: always-on counters per shard + global; span timeline
-  // populated when config.profile is set (prof/profiler.hpp).
+  // dcr-prof metrics: always-on counters per shard + global
+  // (prof/profiler.hpp).
   prof::Profiler& profiler() { return profiler_; }
   const prof::Profiler& profiler() const { return profiler_; }
   const Clock& clock() const { return clock_; }
 
-  // dcr-scope causal ledger (only populated with config.scope).  NB: fully
-  // qualified type — inside this class the name `scope` is this member
-  // function, not the namespace.
-  const dcr::scope::Recorder* scope() const { return scope_.get(); }
+  // The span store (scope/recorder.hpp); non-null iff config.profile or
+  // config.scope.  Holds every span kind under profile, else only fine
+  // stages.  NB: fully qualified type — inside this class the name `scope` is
+  // the member function below, not the namespace.
+  const dcr::scope::Recorder* ledger() const { return ledger_.get(); }
+  // The same ledger as the dcr-scope causal ledger; null unless config.scope.
+  const dcr::scope::Recorder* scope() const { return scope_; }
   // Crash flight recorder; non-null iff config.scope with flight_capacity > 0.
   const dcr::scope::FlightRecorder* flight() const { return flight_.get(); }
 
@@ -500,9 +504,11 @@ class DcrRuntime : private FineHooks {
 
   DcrStats stats_;
   std::unique_ptr<spy::Trace> trace_;  // non-null iff config_.record_trace
-  // dcr-scope causal ledger; non-null iff config_.scope (type qualified: the
-  // member function scope() shadows the namespace inside this class).
-  std::unique_ptr<dcr::scope::Recorder> scope_;
+  // Span ledger; non-null iff config_.profile || config_.scope.  scope_ is
+  // the same object iff config_.scope (causal stamping is gated on it).
+  // Types qualified: the member function scope() shadows the namespace.
+  std::unique_ptr<dcr::scope::Recorder> ledger_;
+  dcr::scope::Recorder* scope_ = nullptr;
   std::unique_ptr<dcr::scope::FlightRecorder> flight_;
   bool flight_dumped_ = false;  // first abort wins; never dump twice
   // The shared fine stage; its tracker is always on here (the tracker's

@@ -119,7 +119,7 @@ struct ThreadConfig {
   bool statics_check = false;
   bool record_task_graph = false;
   bool record_trace = false;  // implies record_task_graph
-  bool profile = false;       // wall-clock prof spans via exec::WallClock
+  bool profile = false;       // every span kind, on exec::WallClock, in ledger()
 
   // dcr-scope causal tracing (scope/recorder.hpp): thread-safe per-shard
   // ledgers on wall-clock time.  TraceCtx rides the mailbox payloads and the
@@ -173,10 +173,12 @@ class ThreadRuntime : private core::FineHooks {
   core::TemplateManager& shard_templates(ShardId s);
   const core::TraceIdentifier& shard_auto_tracer(ShardId s);
   const Clock& clock() const { return clock_; }
-  // dcr-scope causal ledger; non-null iff config.scope (name shadows the
-  // namespace inside this class, hence the qualified type — same convention
-  // as DcrRuntime::scope()).
-  const dcr::scope::Recorder* scope() const { return scope_.get(); }
+  // The span store; non-null iff config.profile or config.scope (name
+  // shadows the namespace inside this class, hence the qualified type — same
+  // convention as DcrRuntime::ledger()).
+  const dcr::scope::Recorder* ledger() const { return ledger_.get(); }
+  // The same ledger as the dcr-scope causal ledger; null unless config.scope.
+  const dcr::scope::Recorder* scope() const { return scope_; }
   const dcr::scope::FlightRecorder* flight() const { return flight_.get(); }
 
  private:
@@ -284,8 +286,10 @@ class ThreadRuntime : private core::FineHooks {
   std::atomic<std::uint64_t> traced_ops_{0};
 
   std::unique_ptr<spy::Trace> trace_;  // non-null iff config_.record_trace
-  // dcr-scope ledgers + crash flight recorder; non-null iff config_.scope.
-  std::unique_ptr<dcr::scope::Recorder> scope_;
+  // Span ledger; non-null iff config_.profile || config_.scope.  scope_ (the
+  // same object) and the crash flight recorder are non-null iff config_.scope.
+  std::unique_ptr<dcr::scope::Recorder> ledger_;
+  dcr::scope::Recorder* scope_ = nullptr;
   std::unique_ptr<dcr::scope::FlightRecorder> flight_;
   // What the shards' front ends read from this runtime (set in the ctor).
   core::FrontEndEnv front_end_env_;

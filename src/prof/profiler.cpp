@@ -7,61 +7,6 @@ namespace dcr::prof {
 
 namespace {
 
-// Chrome trace_event timestamps are microseconds; keep sub-us precision by
-// printing the ns value over 1000 with three decimals (exact: ns is integral).
-void write_us(std::ostream& os, SimTime t_ns) {
-  os << t_ns / 1000 << '.';
-  const auto frac = static_cast<unsigned>(t_ns % 1000);
-  os << static_cast<char>('0' + frac / 100) << static_cast<char>('0' + frac / 10 % 10)
-     << static_cast<char>('0' + frac % 10);
-}
-
-}  // namespace
-
-void Profiler::write_chrome_trace(std::ostream& os) const {
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",";
-    first = false;
-    os << "\n";
-  };
-  // Track metadata: one "process" per shard, one "thread" per lane.
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    sep();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << s
-       << ",\"tid\":0,\"args\":{\"name\":\"shard " << s << "\"}}";
-    for (std::size_t l = 0; l < static_cast<std::size_t>(Lane::kCount); ++l) {
-      sep();
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << s << ",\"tid\":" << l
-         << ",\"args\":{\"name\":\"" << name(static_cast<Lane>(l)) << "\"}}";
-    }
-  }
-  for (const Span& sp : spans_) {
-    sep();
-    os << "{\"name\":\"" << name(sp.kind) << "\",\"cat\":\"" << name(sp.lane)
-       << "\",\"ph\":\"X\",\"ts\":";
-    write_us(os, sp.start);
-    os << ",\"dur\":";
-    write_us(os, sp.end - sp.start);
-    os << ",\"pid\":" << sp.shard << ",\"tid\":" << static_cast<unsigned>(sp.lane)
-       << ",\"args\":{";
-    bool farg = true;
-    if (sp.op != kNoId) {
-      os << "\"op\":" << sp.op;
-      farg = false;
-    }
-    if (sp.iter != kNoId) {
-      if (!farg) os << ",";
-      os << "\"iter\":" << sp.iter;
-    }
-    os << "}}";
-  }
-  os << "\n]}\n";
-}
-
-namespace {
-
 void write_track(std::ostream& os, const Counters& c, bool zero_volatile) {
   os << "{";
   for (std::size_t i = 0; i < static_cast<std::size_t>(Counter::kCount); ++i) {

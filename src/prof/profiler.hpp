@@ -1,13 +1,14 @@
 // dcr-prof: the always-on profiling and metrics layer.
 //
 // A Profiler owns one prof::Counters track per shard plus a global track
-// (counters.hpp) and, when span recording is enabled (DcrConfig::profile), a
-// structured span timeline: RAII prof::Scope spans (and explicitly emitted
-// ones) over the coarse/fine analysis stages, template replay, fence waits,
-// future waits, and trace windows.  Spans carry (shard, lane, kind, op,
-// iteration) and export as Chrome trace_event JSON — one process per shard,
-// one thread per lane — viewable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing.
+// (counters.hpp).  This header also defines the span record every timed
+// interval is stored as — coarse/fine analysis stages, template replay, fence
+// waits, future waits, and trace windows, each tagged (shard, lane, kind, op,
+// iteration).  The spans themselves live in the per-shard scope ledger
+// (scope/recorder.hpp), which exists whenever DcrConfig::profile or
+// DcrConfig::scope is set; prof/trace_event.hpp exports them as Chrome
+// trace_event JSON — one process per shard, one thread per lane — viewable in
+// Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Everything here is host-side bookkeeping: no virtual time is ever charged,
 // so profiling cannot perturb the simulated task graph or makespan (the
@@ -23,10 +24,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
-#include <vector>
 
-#include "common/clock.hpp"
 #include "common/types.hpp"
 #include "prof/counters.hpp"
 
@@ -84,17 +82,19 @@ struct Span {
   SimTime end = 0;
   std::uint64_t op = kNoId;    // op id, where one applies
   std::uint64_t iter = kNoId;  // trace-window ordinal on this shard
+  std::uint64_t id = kNoId;    // dense ledger id, assigned when recorded
 };
+
+inline bool is_fine_stage(SpanKind k) {
+  return k == SpanKind::FineAnalysis || k == SpanKind::FineReplay;
+}
 
 class Profiler {
  public:
-  Profiler(std::size_t num_shards, bool spans_enabled)
-      : num_shards_(num_shards),
-        spans_enabled_(spans_enabled),
-        shards_(std::make_unique<Counters[]>(num_shards)) {}
+  explicit Profiler(std::size_t num_shards)
+      : num_shards_(num_shards), shards_(std::make_unique<Counters[]>(num_shards)) {}
 
   std::size_t num_shards() const { return num_shards_; }
-  bool spans_enabled() const { return spans_enabled_; }
 
   Counters& shard(std::uint32_t s) {
     DCR_CHECK(s < num_shards_);
@@ -114,21 +114,6 @@ class Profiler {
     return n;
   }
 
-  // Thread-safe: the simulator backend emits from its single event loop, the
-  // threads backend from every shard thread (counters are already atomic).
-  void emit(const Span& s) {
-    if (!spans_enabled_) return;
-    DCR_CHECK(s.end >= s.start) << "negative-duration span " << name(s.kind);
-    std::lock_guard<std::mutex> lk(spans_mu_);
-    spans_.push_back(s);
-  }
-  // Only safe once emitting threads have been joined.
-  const std::vector<Span>& spans() const { return spans_; }
-
-  // Chrome trace_event JSON: pid = shard, tid = lane, complete ("X") events
-  // with metadata naming each track.  Open in Perfetto / chrome://tracing.
-  void write_chrome_trace(std::ostream& os) const;
-
   // Flat counter snapshot (global + merged + per-shard + histograms), stable
   // key order.  `zero_volatile` zeroes cost-model-derived values for golden
   // files (counters.hpp is_volatile).
@@ -136,47 +121,8 @@ class Profiler {
 
  private:
   std::size_t num_shards_;
-  bool spans_enabled_;
   std::unique_ptr<Counters[]> shards_;
   Counters global_;
-  std::mutex spans_mu_;
-  std::vector<Span> spans_;
-};
-
-// RAII span over a region of a shard's control program: records the clock at
-// construction and emits on destruction (or explicit close()).  The Clock
-// (common/clock.hpp) decides whether timestamps are virtual ticks (sim) or
-// wall nanoseconds (threads).  A no-op when span recording is disabled.
-class Scope {
- public:
-  Scope(Profiler& p, const Clock& clock, std::uint32_t shard, Lane lane,
-        SpanKind kind, std::uint64_t op = kNoId, std::uint64_t iter = kNoId)
-      : p_(p), clock_(clock) {
-    span_.kind = kind;
-    span_.lane = lane;
-    span_.shard = shard;
-    span_.op = op;
-    span_.iter = iter;
-    span_.start = clock.now();
-  }
-
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
-  void close() {
-    if (closed_) return;
-    closed_ = true;
-    span_.end = clock_.now();
-    p_.emit(span_);
-  }
-
-  ~Scope() { close(); }
-
- private:
-  Profiler& p_;
-  const Clock& clock_;
-  Span span_{};
-  bool closed_ = false;
 };
 
 }  // namespace dcr::prof

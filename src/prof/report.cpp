@@ -67,9 +67,8 @@ std::pair<SimTime, std::vector<std::size_t>> max_chain(const std::vector<Span>& 
 
 }  // namespace
 
-Report build_report(const Profiler& p) {
+Report build_report(const std::vector<Span>& spans) {
   Report r;
-  const std::vector<Span>& spans = p.spans();
 
   // Inclusive time by kind.
   std::map<SpanKind, Report::KindTotal> kinds;
@@ -147,11 +146,6 @@ void render_counters(std::ostream& os, const Profiler& p) {
 void render_report(std::ostream& os, const Profiler& p, const Report& r,
                    std::size_t top_k) {
   render_counters(os, p);
-  if (!p.spans_enabled()) {
-    os << "(span timeline disabled; enable DcrConfig::profile for the critical-path "
-          "report)\n";
-    return;
-  }
   os << "span kinds by inclusive time:\n";
   for (std::size_t i = 0; i < r.by_kind.size() && i < top_k; ++i) {
     const Report::KindTotal& kt = r.by_kind[i];

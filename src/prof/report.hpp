@@ -1,4 +1,4 @@
-// Critical-path analysis over the dcr-prof span timeline.
+// Critical-path analysis over the recorded span timeline.
 //
 // The span set of one run forms an interval order: span b can depend on span
 // a only if a.end <= b.start.  The critical path is the maximum-weight chain
@@ -40,7 +40,8 @@ struct Report {
   std::vector<IterationPath> per_iteration;  // sorted by (shard, iter)
 };
 
-Report build_report(const Profiler& p);
+// `spans` is the run's recorded timeline (scope::Recorder::spans()).
+Report build_report(const std::vector<Span>& spans);
 
 // Human-readable rendering: counter catalog, top-k kinds, critical path, and
 // the slowest iterations.  `top_k` bounds both kind and iteration listings.

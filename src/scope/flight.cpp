@@ -11,6 +11,7 @@
 
 #include "common/check.hpp"
 #include "prof/profiler.hpp"
+#include "prof/trace_event.hpp"
 
 namespace dcr::scope {
 
@@ -85,14 +86,27 @@ struct SafeOut {
   }
 };
 
-const char* kind_name(FlightEvent::Kind k) {
-  switch (k) {
-    case FlightEvent::Kind::Span: return "fine";
-    case FlightEvent::Kind::FenceWait: return "fence-wait";
-    case FlightEvent::Kind::FutureWait: return "future-wait";
-    case FlightEvent::Kind::Launch: return "launch";
+// One ring event through the shared trace_event formatter, on the lane its
+// span kind would use in the full export.
+std::size_t format_flight(char* buf, std::size_t cap, const FlightEvent& e) {
+  using prof::Lane;
+  using prof::SpanKind;
+  switch (e.kind) {
+    case FlightEvent::Kind::Span:
+      return prof::format_event(buf, cap, "fine_stage", Lane::Analysis, e.shard, e.start,
+                                e.end, {"op", e.op}, {"span", e.aux});
+    case FlightEvent::Kind::FenceWait:
+      return prof::format_event(buf, cap, prof::name(SpanKind::FenceWait), Lane::Fence,
+                                e.shard, e.start, e.end, {"op", e.op});
+    case FlightEvent::Kind::FutureWait:
+      return prof::format_event(buf, cap, prof::name(SpanKind::FutureWait), Lane::Control,
+                                e.shard, e.start, e.end, {"future", e.op},
+                                {"releaser", e.aux});
+    case FlightEvent::Kind::Launch:
+      return prof::format_event(buf, cap, "task_launch", Lane::Analysis, e.shard, e.start,
+                                e.end, {"op", e.op}, {"point", e.aux});
   }
-  return "?";
+  return 0;
 }
 
 // Copy `s` into `out`, replacing JSON-hostile bytes so the reason string can
@@ -114,27 +128,22 @@ void FlightRecorder::dump_fd(int fd, const char* reason,
                              const prof::Profiler* prof) const {
   SafeOut out(fd);
   out.puts("{\"traceEvents\":[");
-  bool first = true;
+  char buf[prof::kTraceEventMax];
+  const char* sep = "\n";
+  auto put = [&](std::size_t n) {
+    out.puts(sep);
+    out.put(buf, n);
+    sep = ",\n";
+  };
   for (std::size_t s = 0; s < rings_.size(); ++s) {
-    const Ring& ring = *rings_[s];
-    const std::uint64_t head = ring.head.load(std::memory_order_acquire);
+    put(prof::format_tracks(buf, sizeof(buf), static_cast<std::uint32_t>(s)));
+  }
+  for (const auto& ring : rings_) {
+    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
     const std::uint64_t n = head < capacity_ ? head : capacity_;
     // Oldest retained event first.
     for (std::uint64_t k = 0; k < n; ++k) {
-      const FlightEvent& e = ring.events[(head - n + k) % capacity_];
-      const double ts_us = static_cast<double>(e.start) / 1000.0;
-      const double dur_us =
-          e.end > e.start ? static_cast<double>(e.end - e.start) / 1000.0 : 0.0;
-      if (!first) out.puts(",");
-      first = false;
-      out.putf(
-          "\n{\"name\":\"%s op %llu\",\"cat\":\"scope\",\"ph\":\"X\","
-          "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%llu,"
-          "\"args\":{\"op\":%llu,\"aux\":%llu}}",
-          kind_name(e.kind), static_cast<unsigned long long>(e.op), ts_us,
-          dur_us, static_cast<unsigned long long>(s),
-          static_cast<unsigned long long>(e.op),
-          static_cast<unsigned long long>(e.aux));
+      put(format_flight(buf, sizeof(buf), ring->events[(head - n + k) % capacity_]));
     }
   }
   char safe_reason[256];

@@ -5,9 +5,11 @@
 // same hot-path hooks that build the causal ledger, so it works identically
 // under the simulator and the real-threads backend.  When a run dies — a
 // control-determinism violation, an "SDC quorum unresolved" abort, or a fatal
-// signal — the rings are dumped as Perfetto-loadable Chrome trace_event JSON
-// plus a blame summary (per-shard FenceWaitNs totals from the always-on prof
-// counters), so post-mortem triage needs no re-run.
+// signal — the rings are dumped as Perfetto-loadable Chrome trace_event JSON,
+// formatted and track-named by the span exporter's own code
+// (prof/trace_event.hpp: pid = shard, tid = lane), plus a blame summary
+// (per-shard FenceWaitNs totals from the always-on prof counters), so
+// post-mortem triage needs no re-run.
 //
 // Concurrency: each ring is single-writer (the owning shard thread); the
 // head index is published with a release store so a quiesced reader sees
@@ -63,10 +65,10 @@ class FlightRecorder {
   // `capacity()` of them).
   std::uint64_t recorded(std::uint32_t shard) const;
 
-  // Dump every ring as Chrome trace_event JSON ("traceEvents" array; one
-  // Perfetto track per shard) plus a "metadata" blame summary: the abort
-  // reason and, when `prof` is non-null, per-shard FenceWaitNs totals read
-  // from the lock-free counter banks.  Async-signal-safe; returns false if
+  // Dump every ring as Chrome trace_event JSON ("traceEvents" array; the
+  // full export's tracks: one process per shard, one thread per lane) plus a
+  // "metadata" blame summary: the abort reason and, when `prof` is non-null,
+  // per-shard FenceWaitNs totals read from the lock-free counter banks.  Async-signal-safe; returns false if
   // the file cannot be opened.
   bool dump(const std::string& path, const char* reason,
             const prof::Profiler* prof) const;

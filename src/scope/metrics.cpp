@@ -252,7 +252,7 @@ void collect_metrics(MetricsRegistry& reg, const CollectInputs& in) {
     // quiesce the counts equal the merged sizes exactly.
     const Recorder& rec = *in.recorder;
     reg.set("dcr_scope_spans_total", "Completed fine-stage spans recorded",
-            Type::Counter, static_cast<double>(rec.spans_recorded()));
+            Type::Counter, static_cast<double>(rec.fine_spans_recorded()));
     reg.set("dcr_scope_fences_recorded", "Fences harvested into the blame ledger",
             Type::Counter, static_cast<double>(rec.fences_recorded()));
     reg.set("dcr_scope_task_launches_total", "Point-task launches recorded",

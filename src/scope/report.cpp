@@ -14,7 +14,7 @@ namespace {
 std::string span_desc(const Recorder& rec, std::uint64_t span_id) {
   const SpanRec* sp = rec.span(span_id);
   if (sp == nullptr) return "<control>";
-  std::string out = sp->replayed ? "fine-replay" : "fine";
+  std::string out = sp->kind == prof::SpanKind::FineReplay ? "fine-replay" : "fine";
   out += " op " + std::to_string(sp->op) + " (span " + std::to_string(sp->id) + ")";
   return out;
 }
@@ -63,7 +63,7 @@ BlameReport build_blame(const Recorder& rec, const prof::Profiler& prof) {
       e.releaser_span = f.releaser.span;
       if (const SpanRec* sp = rec.span(f.releaser.span)) {
         e.releaser_op = sp->op;
-        e.releaser_replayed = sp->replayed;
+        e.releaser_replayed = sp->kind == prof::SpanKind::FineReplay;
       }
     } else {
       e.releaser_shard = f.last_shard;  // raw timestamps (tracing off)

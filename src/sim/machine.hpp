@@ -77,15 +77,6 @@ class Machine {
                         global_idx % per);
   }
 
-  // Record every processor's execution intervals into `timeline` (profiling;
-  // not owned; nullptr detaches).
-  void attach_timeline(Timeline* timeline) {
-    for (auto& n : nodes_) {
-      n.analysis->attach_timeline(timeline);
-      for (auto& p : n.compute) p->attach_timeline(timeline);
-    }
-  }
-
   // Enable fault injection for this machine: attach `plan` to the network and
   // every processor, arm its crash calendar, and install a reliable transport
   // so remote traffic survives drops.  `plan` must outlive the machine.

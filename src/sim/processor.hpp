@@ -7,17 +7,15 @@
 // of *compute* processors (stand-ins for the CPUs/GPUs that run leaf tasks).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <string_view>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timeline.hpp"
 
 namespace dcr::sim {
 
@@ -34,14 +32,13 @@ class Processor {
 
   // Enqueue a work item that becomes eligible when `precondition` triggers,
   // occupies the processor for `duration`, then triggers the returned event.
-  // `body` (optional) runs at completion on the simulation thread; `label`
-  // names the interval in an attached timeline, and is copied only when one
-  // is attached (timelines are attached before the simulation runs).
+  // `body` (optional) runs at completion on the simulation thread.  An item
+  // whose precondition has triggered starts at once, so right after the call
+  // busy_until() is its completion time.
   Event enqueue(SimTime duration, const Event& precondition = Event::no_event(),
-                std::function<void()> body = nullptr, std::string_view label = {}) {
+                std::function<void()> body = nullptr) {
     UserEvent done;
-    auto start_fn = [this, duration, done, body = std::move(body),
-                     label = timeline_ ? std::string(label) : std::string()]() mutable {
+    auto start_fn = [this, duration, done, body = std::move(body)]() mutable {
       const SimTime start = std::max(sim_.now(), busy_until_);
       // Straggler injection: work starting inside a slowdown window stretches.
       if (faults_) duration = faults_->scaled_duration(node_, start, duration);
@@ -49,7 +46,6 @@ class Processor {
       busy_until_ = end;
       busy_time_ += duration;
       ++tasks_run_;
-      if (timeline_ && duration > 0) timeline_->record(id_, start, end, std::move(label));
       sim_.schedule_at(end, [this, done, body = std::move(body)] {
         if (body) body();
         done.trigger(sim_.now());
@@ -62,10 +58,6 @@ class Processor {
     }
     return done;
   }
-
-  // Record this processor's intervals into `timeline` (not owned; nullptr
-  // detaches).
-  void attach_timeline(Timeline* timeline) { timeline_ = timeline; }
 
   // Consult `plan` for straggler windows when starting work (not owned;
   // nullptr detaches).
@@ -83,7 +75,6 @@ class Processor {
   ProcId id_;
   NodeId node_;
   ProcKind kind_;
-  Timeline* timeline_ = nullptr;
   const FaultPlan* faults_ = nullptr;
   SimTime busy_until_ = 0;
   SimTime busy_time_ = 0;

@@ -41,6 +41,24 @@ TEST(DcrRuntime, StencilRunsToCompletionSingleShard) {
   EXPECT_GT(stats.makespan, 0u);
 }
 
+// Every point task runs one of the stencil's named functions: 4 tiles x 3
+// launches x 3 steps, counted by the per-function execution profile.
+TEST(DcrRuntime, StencilPointTasksRunNamedFunctions) {
+  Harness h(2);
+  const auto fns = register_stencil_functions(h.functions, 10.0);
+  const DcrStats stats = h.runtime.execute(
+      make_stencil_app({.cells_per_tile = 1000, .tiles = 4, .steps = 3}, fns));
+  ASSERT_TRUE(stats.completed);
+  std::uint64_t named = 0;
+  for (const auto& [fn, fp] : h.runtime.profile()) {
+    const std::string& name = h.functions.at(fn).name;
+    EXPECT_TRUE(name == "add_one" || name == "mul_two" || name == "stencil") << name;
+    EXPECT_EQ(fp.tasks, 4u * 3u) << name;
+    named += fp.tasks;
+  }
+  EXPECT_EQ(named, 4u * 3u * 3u);
+}
+
 TEST(DcrRuntime, StencilScalesAcrossShards) {
   for (std::size_t nodes : {2u, 4u}) {
     Harness h(nodes);

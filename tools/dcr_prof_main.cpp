@@ -30,6 +30,7 @@
 #include "prof/diff.hpp"
 #include "prof/json.hpp"
 #include "prof/report.hpp"
+#include "prof/trace_event.hpp"
 #include "prof/validate.hpp"
 
 namespace {
@@ -154,7 +155,7 @@ int cmd_report(int argc, char** argv) {
   core::DcrRuntime rt(machine, functions, cfg);
   const core::DcrStats stats = rt.execute(main_fn);
 
-  const prof::Report report = prof::build_report(rt.profiler());
+  const prof::Report report = prof::build_report(rt.ledger()->spans());
   prof::render_report(std::cout, rt.profiler(), report, opt.top_k);
   std::cout << "\nmakespan: " << static_cast<double>(stats.makespan) / 1e6 << " ms ("
             << opt.app << ", " << opt.shards << " shards, " << opt.steps << " steps)\n";
@@ -193,7 +194,7 @@ int cmd_trace(int argc, char** argv) {
   const core::DcrStats stats = rt.execute(main_fn);
 
   std::ostringstream buf;
-  rt.profiler().write_chrome_trace(buf);
+  prof::write_chrome_trace(buf, rt.ledger()->num_shards(), rt.ledger()->spans());
   const std::vector<std::string> errors = prof::validate_chrome_trace(buf.str());
   for (const std::string& e : errors) std::cerr << "dcr-prof: schema: " << e << "\n";
   if (!errors.empty()) return 1;
@@ -204,7 +205,7 @@ int cmd_trace(int argc, char** argv) {
     return 2;
   }
   out << buf.str();
-  std::cout << "recorded " << rt.profiler().spans().size() << " spans over "
+  std::cout << "recorded " << rt.ledger()->spans().size() << " spans over "
             << opt.shards << " shards -> " << opt.out_path
             << "\nopen in Perfetto: https://ui.perfetto.dev (Open trace file)"
             << (stats.completed ? "" : "\n(execution did not complete)") << "\n";
