@@ -157,18 +157,20 @@ class JsonDump {
 };
 
 // --check-baseline FILE [--threshold PCT]: the regression watchdog of the
-// BENCH_*.json benches.  Every other argument is kept in `rest` (after
-// argv[0]) for parse_flags.
+// BENCH_*.json benches.  The baseline is read here, before the bench writes
+// anything: run from the directory that holds it, a bench overwrites the
+// baseline with its fresh output.  Every other argument is kept in `rest`
+// (after argv[0]) for parse_flags.
 struct BaselineCheck {
-  std::string path;  // "" = no check requested
+  scope::LoadedBaseline loaded;  // path "" = no check requested
   double threshold_pct = 5.0;
   std::vector<char*> rest;
 
   // Diff the freshly written `fresh` file against the baseline and print the
   // report.  True when no check was requested or nothing regressed.
   bool passes(const char* fresh) const {
-    if (path.empty()) return true;
-    const scope::BaselineDiff d = scope::check_baseline_files(path, fresh, threshold_pct);
+    if (loaded.path.empty()) return true;
+    const scope::BaselineDiff d = scope::check_baseline_loaded(loaded, fresh, threshold_pct);
     scope::render_baseline_diff(std::cout, d, threshold_pct);
     return d.ok();
   }
@@ -179,7 +181,7 @@ inline BaselineCheck parse_baseline_flags(int argc, char** argv) {
   b.rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
-      b.path = argv[++i];
+      b.loaded = scope::load_baseline(argv[++i]);
     } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
       b.threshold_pct = std::stod(argv[++i]);
     } else {

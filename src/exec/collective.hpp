@@ -5,38 +5,41 @@
 // C++20 atomic wait/notify (no mutex, no condvar).  Sense-reversing by
 // generation so the same object serves every fence epoch.
 //
-// ValueCollective: the future all-reduce/broadcast — every shard pushes its
-// (rank, value) contribution through an MPMC fan-in queue; the last arriver
-// drains the queue, combines in deterministic rank order, and publishes the
-// result for everyone.  Rank-order combination makes the result independent
-// of arrival order, so repeated runs (and the differential tests) see one
-// value stream.
+// ValueCollective: every future (§4.2) — a write-once value that all shards
+// read.  Each rank writes its (value, TraceCtx) into its own slot; the last
+// arriver combines the slots in deterministic rank order and publishes the
+// result for everyone.  An all-reduce of a future map has one rank per shard;
+// a single-task future is a one-rank broadcast its owner shard arrives at.
+// Rank-order combination makes the result independent of arrival order, so
+// repeated runs (and the differential tests) see one value stream.
+//
+// Both use the same slot pattern: each rank writes only its own slot before
+// its acq_rel fetch_add; the RMW chain makes every slot visible to the last
+// arriver, which folds the merged result before releasing the waiters.
 //
 // dcr-scope blame (ThreadConfig::scope): the stamped arrival paths mirror the
 // simulated collectives' blame surface (sim/collective.hpp) on wall-clock
 // time — per-rank arrival/completion timestamps plus the associative
 // latest-merge of the arriving TraceCtxs, read back at end-of-run by
-// Recorder::harvest_fence / ValueCollective::result_ctx.  Each rank writes
-// only its own slot before its acq_rel fetch_add; the RMW chain makes every
-// slot visible to the last arriver, which folds the merged blame before
-// releasing the round.  The stamped FenceCollective path supports exactly one
-// round per object (the threads backend keys collectives by dependent op id,
-// so every fence object serves one round).
+// Recorder::harvest_fence / ValueCollective::result_ctx.  The stamped
+// FenceCollective path supports exactly one round per object (the threads
+// backend keys collectives by dependent op id, so every fence object serves
+// one round).
 #pragma once
 
-#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
-#include "exec/queue.hpp"
 #include "scope/context.hpp"
 
 namespace dcr::exec {
+
+inline constexpr std::size_t kCacheLine = 64;
 
 class FenceCollective {
  public:
@@ -148,18 +151,16 @@ class FenceCollective {
   alignas(kCacheLine) std::atomic<std::uint64_t> generation_{0};
 };
 
-// One-shot all-reduce of doubles across N ranks.  Contributions fan in
-// through an MPMC queue (multi-producer: every shard thread pushes); the
-// rank that completes the set combines in ascending rank order and publishes.
+// One-shot combine of doubles across N ranks (N = 1 for a broadcast future):
+// each rank fills its own slot; the rank that completes the set combines in
+// ascending rank order and publishes.
 class ValueCollective {
  public:
   using CombineFn = std::function<double(double, double)>;
 
   ValueCollective(std::uint32_t ranks, double init, CombineFn combine)
-      : ranks_(ranks), init_(init), combine_(std::move(combine)), fanin_(ranks) {
+      : ranks_(ranks), init_(init), combine_(std::move(combine)), slots_(ranks) {
     DCR_CHECK(ranks >= 1);
-    slots_.assign(ranks_, 0.0);
-    slot_set_.assign(ranks_, 0);
   }
 
   ValueCollective(const ValueCollective&) = delete;
@@ -172,20 +173,16 @@ class ValueCollective {
   // collective's fan-in merge.
   void arrive(std::uint32_t r, double value, scope::TraceCtx ctx = {}) {
     DCR_CHECK(r < ranks_);
-    const bool pushed = fanin_.try_push(Contribution{r, value, ctx});
-    DCR_CHECK(pushed) << "value-collective fan-in overflow (duplicate arrival?)";
+    Slot& slot = slots_[r];
+    DCR_CHECK(!slot.set) << "duplicate value-collective arrival";
+    slot = Slot{value, ctx, true};
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == ranks_) {
-      // Last arriver: drain the fan-in, combine in rank order, publish.
-      while (auto c = fanin_.try_pop()) {
-        DCR_CHECK(!slot_set_[c->rank]) << "duplicate value-collective arrival";
-        slot_set_[c->rank] = 1;
-        slots_[c->rank] = c->value;
-        result_ctx_ = scope::latest(result_ctx_, c->ctx);
-      }
+      // Last arriver: combine in rank order, publish.
       double acc = init_;
       for (std::uint32_t i = 0; i < ranks_; ++i) {
-        DCR_CHECK(slot_set_[i]) << "value-collective missing rank " << i;
-        acc = combine_(acc, slots_[i]);
+        DCR_CHECK(slots_[i].set) << "value-collective missing rank " << i;
+        acc = combine_(acc, slots_[i].value);
+        result_ctx_ = scope::latest(result_ctx_, slots_[i].ctx);
       }
       result_bits_.store(bits_of(acc), std::memory_order_relaxed);
       ready_.store(true, std::memory_order_release);
@@ -209,17 +206,17 @@ class ValueCollective {
   }
 
   // Merged causal context of the contributions; valid once ready() (written
-  // by the draining thread before the ready_ release, read after acquire).
+  // by the last arriver before the ready_ release, read after acquire).
   const scope::TraceCtx& result_ctx() const {
     DCR_CHECK(ready()) << "value collective not complete";
     return result_ctx_;
   }
 
  private:
-  struct Contribution {
-    std::uint32_t rank = 0;
+  struct Slot {
     double value = 0.0;
     scope::TraceCtx ctx;
+    bool set = false;
   };
 
   static std::uint64_t bits_of(double d) {
@@ -237,12 +234,9 @@ class ValueCollective {
   const std::uint32_t ranks_;
   const double init_;
   CombineFn combine_;
-  MpmcQueue<Contribution> fanin_;
-  // Slot arrays and the merged context are written only by the single
-  // draining thread (the last arriver) and read after the ready_
-  // release/acquire edge.
-  std::vector<double> slots_;
-  std::vector<std::uint8_t> slot_set_;
+  // Slot r is written only by rank r, before its arrival RMW; the merged
+  // context only by the last arriver, and read after the ready_ edge.
+  std::vector<Slot> slots_;
   scope::TraceCtx result_ctx_;
   alignas(kCacheLine) std::atomic<std::uint32_t> arrived_{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> result_bits_{0};

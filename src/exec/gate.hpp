@@ -9,7 +9,7 @@
 #include <cstdint>
 
 #include "common/check.hpp"
-#include "exec/queue.hpp"
+#include "exec/collective.hpp"
 
 namespace dcr::exec {
 

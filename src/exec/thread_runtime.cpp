@@ -51,37 +51,19 @@ class ThreadShardContext final : public core::ShardFrontEnd {
   void submit(const OpRecord& op) override { rt_.submit_op(st_, op); }
 
   double wait_future(const core::Future& f, dcr::scope::TraceCtx& releaser) override {
-    ThreadRuntime::FutureEntry entry;
-    {
-      std::lock_guard<std::mutex> lk(rt_.futures_mu_);
-      auto it = rt_.futures_.find(f.id);
-      DCR_CHECK(it != rt_.futures_.end()) << "future " << f.id << " has no producer";
-      entry = it->second;
-    }
-    if (entry.reduce) {
-      const double v = entry.coll->wait();
-      // Merged context of the fan-in: the globally last contributor.
-      if (rt_.scope_) releaser = entry.coll->result_ctx();
-      return v;
-    }
-    const ThreadRuntime::CachedFuture cf = rt_.wait_broadcast(st_, f.id);
-    releaser = cf.ctx;
-    return cf.value;
+    const std::shared_ptr<ValueCollective> coll = rt_.future(f.id);
+    DCR_CHECK(coll) << "future " << f.id << " has no producer";
+    const double v = coll->wait();
+    // Merged context of the arrivals: the globally last contributor.
+    releaser = coll->result_ctx();
+    return v;
   }
 
   // The answer races real thread progress here, where the simulator's
   // depends on virtual time.
   bool poll_future(const core::Future& f) override {
-    ThreadRuntime::FutureEntry entry;
-    {
-      std::lock_guard<std::mutex> lk(rt_.futures_mu_);
-      auto it = rt_.futures_.find(f.id);
-      if (it == rt_.futures_.end()) return false;
-      entry = it->second;
-    }
-    if (entry.reduce) return entry.coll->ready();
-    rt_.drain_inbox(st_);
-    return st_.future_cache.count(f.id) != 0;
+    const std::shared_ptr<ValueCollective> coll = rt_.future(f.id);
+    return coll && coll->ready();
   }
 
   // drain_execution and window_epochs keep the front end's defaults.  The
@@ -124,12 +106,6 @@ ThreadRuntime::ThreadRuntime(core::FunctionRegistry& functions, ThreadConfig con
     st->shardings = &st->own_shardings;
     st->prover = std::make_unique<statics::InterferenceProver>(st->own_forest, projections_,
                                                                config_.statics_check);
-    st->inbox.reserve(config_.num_shards);
-    for (std::size_t p = 0; p < config_.num_shards; ++p) {
-      st->inbox.push_back(p == s ? nullptr
-                                 : std::make_unique<SpscQueue<FutureMsg>>(
-                                       config_.mailbox_capacity));
-    }
     shards_.push_back(std::move(st));
   }
   if (config_.record_trace) {
@@ -232,30 +208,20 @@ std::shared_ptr<FenceCollective> ThreadRuntime::fence_for(OpId dependent) {
   return it->second;
 }
 
-void ThreadRuntime::ensure_future(std::uint64_t id, OpId producer) {
+void ThreadRuntime::ensure_future(std::uint64_t id, std::uint32_t ranks, double init,
+                                  ValueCollective::CombineFn combine) {
   std::lock_guard<std::mutex> lk(futures_mu_);
   auto [it, inserted] = futures_.try_emplace(id);
   if (!inserted) return;
   profiler_.global().add(prof::GlobalCounter::FutureCollectives);
   profiler_.global().add(prof::GlobalCounter::CollectiveRounds);
-  // Single-task futures broadcast from the owner shard (§4.2); delivery is
-  // the SPSC mailbox fabric, so no collective object is needed.
-  it->second.reduce = false;
-  it->second.owner = single_op_owner(producer);
+  it->second = std::make_shared<ValueCollective>(ranks, init, std::move(combine));
 }
 
-void ThreadRuntime::ensure_reduce_future(std::uint64_t id, core::ReduceOp rop) {
+std::shared_ptr<ValueCollective> ThreadRuntime::future(std::uint64_t id) {
   std::lock_guard<std::mutex> lk(futures_mu_);
-  auto [it, inserted] = futures_.try_emplace(id);
-  if (!inserted) return;
-  profiler_.global().add(prof::GlobalCounter::FutureCollectives);
-  profiler_.global().add(prof::GlobalCounter::CollectiveRounds);
-  it->second.reduce = true;
-  it->second.owner = ShardId(0);
-  // An empty partial holds each ReduceOp's identity.
-  it->second.coll = std::make_shared<ValueCollective>(
-      static_cast<std::uint32_t>(num_shards()), core::FmPartial{}.pick(rop),
-      [rop](double a, double b) { return core::apply_reduce(rop, a, b); });
+  auto it = futures_.find(id);
+  return it == futures_.end() ? nullptr : it->second;
 }
 
 dcr::scope::TraceCtx ThreadRuntime::scope_ctx(const ThreadShard& st) const {
@@ -264,53 +230,18 @@ dcr::scope::TraceCtx ThreadRuntime::scope_ctx(const ThreadShard& st) const {
 }
 
 void ThreadRuntime::publish_future(ThreadShard& st, std::uint64_t id, double value) {
-  // The producer's current span rides the mailbox payload so a waiter can
-  // name the span that released it (the threads analogue of the simulator's
-  // network-carried TraceCtx).
+  // The producer's current span is the releaser every waiter names (the
+  // threads analogue of the simulator's network-carried TraceCtx).
   const dcr::scope::TraceCtx ctx = scope_ctx(st);
-  st.future_cache[id] = CachedFuture{value, ctx};
-  for (auto& tp : shards_) {
-    ThreadShard& peer = *tp;
-    if (peer.id.value == st.id.value) continue;
-    // try_push then overflow: the producer must never block on a slow
-    // consumer — the consumer may be parked at a fence that needs this
-    // producer's arrival to complete.
-    if (!peer.inbox[st.id.value]->try_push(FutureMsg{id, value, ctx})) {
-      std::lock_guard<std::mutex> lk(peer.overflow_mu);
-      peer.overflow.push_back(FutureMsg{id, value, ctx});
-    }
-    peer.doorbell.fetch_add(1, std::memory_order_release);
-    peer.doorbell.notify_all();
-    // One logical message per peer delivery, counted against the origin.
-    if (scope_) scope_->on_message(ctx, sizeof(FutureMsg));
-  }
-}
-
-void ThreadRuntime::drain_inbox(ThreadShard& st) {
-  for (auto& q : st.inbox) {
-    if (!q) continue;
-    while (auto m = q->try_pop()) st.future_cache[m->id] = CachedFuture{m->value, m->ctx};
-  }
-  std::vector<FutureMsg> spill;
-  {
-    std::lock_guard<std::mutex> lk(st.overflow_mu);
-    spill.swap(st.overflow);
-  }
-  for (const FutureMsg& m : spill) st.future_cache[m.id] = CachedFuture{m.value, m.ctx};
-}
-
-ThreadRuntime::CachedFuture ThreadRuntime::wait_broadcast(ThreadShard& st,
-                                                          std::uint64_t id) {
-  for (;;) {
-    auto it = st.future_cache.find(id);
-    if (it != st.future_cache.end()) return it->second;
-    // Doorbell generation loaded BEFORE the drain: a publish racing with the
-    // drain bumps the generation, so the wait below returns immediately.
-    const std::uint64_t gen = st.doorbell.load(std::memory_order_acquire);
-    drain_inbox(st);
-    auto it2 = st.future_cache.find(id);
-    if (it2 != st.future_cache.end()) return it2->second;
-    st.doorbell.wait(gen, std::memory_order_acquire);
+  future(id)->arrive(0, value, ctx);
+  if (!scope_) return;
+  // dcr-scope counts the broadcast as one logical message per peer, charged
+  // to the origin, each the (future id, value, context) record a message-
+  // passing transport would carry.
+  constexpr std::uint64_t kBroadcastMsgBytes =
+      sizeof(std::uint64_t) + sizeof(double) + sizeof(dcr::scope::TraceCtx);
+  for (std::size_t peer = 1; peer < num_shards(); ++peer) {
+    scope_->on_message(ctx, kBroadcastMsgBytes);
   }
 }
 
@@ -320,9 +251,16 @@ void ThreadRuntime::submit_op(ThreadShard& st, const OpRecord& op) {
   // Futures are created eagerly at issue so the control program can wait on
   // them before any shard's execution has reached the producing op.
   if (const auto* task = std::get_if<TaskPayload>(&op.payload)) {
-    if (task->future_id != ~0ull) ensure_future(task->future_id, op.id);
+    // Single-task futures broadcast from the owner shard (§4.2).
+    if (task->future_id != ~0ull) {
+      ensure_future(task->future_id, 1, 0.0, [](double, double v) { return v; });
+    }
   } else if (const auto* red = std::get_if<ReducePayload>(&op.payload)) {
-    ensure_reduce_future(red->future_id, red->op);
+    // An empty partial holds each ReduceOp's identity.
+    const core::ReduceOp rop = red->op;
+    ensure_future(red->future_id, static_cast<std::uint32_t>(num_shards()),
+                  core::FmPartial{}.pick(rop),
+                  [rop](double a, double b) { return core::apply_reduce(rop, a, b); });
   }
   if (op.traced) traced_ops_.fetch_add(1, std::memory_order_relaxed);
   if (op.tmode == TemplateManager::Mode::Replay && op.trec != nullptr) {
@@ -414,12 +352,8 @@ void ThreadRuntime::run_point(core::FineWork& w, core::PointTaskInfo info, SimTi
 void ThreadRuntime::contribute_reduce(const core::FrontEndState& st,
                                       const core::ReducePayload& red,
                                       const core::FmPartial& partial) {
-  std::shared_ptr<ValueCollective> coll;
-  {
-    std::lock_guard<std::mutex> lk(futures_mu_);
-    coll = futures_.at(red.future_id).coll;  // created at issue
-  }
-  coll->arrive(st.id.value, partial.pick(red.op), scope_ctx(shard(st.id)));
+  // The collective was created when this shard issued the reduce.
+  future(red.future_id)->arrive(st.id.value, partial.pick(red.op), scope_ctx(shard(st.id)));
 }
 
 void ThreadRuntime::busy_spin(SimTime wall_ns) {

@@ -23,27 +23,29 @@
 //    one instance per thread, no sharing, no locks;
 //  * cross-shard coordination uses wall-clock primitives with the same
 //    semantics as the simulated collectives: FenceCollective (sense-
-//    reversing barrier) for pipeline fences, ValueCollective (MPMC fan-in,
-//    rank-ordered combine) for future all-reduce, and bounded lock-free
-//    SPSC mailboxes for broadcast future-value delivery.
+//    reversing barrier) for pipeline fences, and ValueCollective (one slot
+//    per rank, rank-ordered combine, one write-once result) for every
+//    future — an all-reduce over all shards, or a one-rank broadcast from
+//    the shard that owns the producing single task.
 //
 // tests/test_exec.cpp enforces the property by running every fuzz program
 // through both backends and diffing with spy::graph_equivalent.
 //
 // dcr-scope on threads (ThreadConfig::scope): the full causal-tracing stack
-// runs on wall-clock time — TraceCtx rides the SPSC mailbox payloads, the
-// exec collectives stamp per-rank arrival/completion blame timestamps, and
-// the thread-safe Recorder ledgers (per-shard single-writer appends, merged
-// at join) reconcile exactly against prof FenceWaitNs because the *same two
-// clock reads* feed both ledgers.  A bounded per-shard flight-recorder ring
+// runs on wall-clock time — TraceCtx rides every collective arrival (a
+// future's merged result context names its releaser), the fence collectives
+// stamp per-rank arrival/completion blame timestamps, and the thread-safe
+// Recorder ledgers (per-shard single-writer appends, merged at join)
+// reconcile exactly against prof FenceWaitNs because the *same two clock
+// reads* feed both ledgers.  A bounded per-shard flight-recorder ring
 // (scope/flight.hpp) is dumped on determinism-violation aborts for
 // post-mortem triage without a re-run.
 //
 // Deliberate non-goals (simulator-only features): fault injection and
 // recovery, SDC replication, the physical data-movement model (bytes_moved
-// reports 0; messages counts mailbox publishes only under scope), and
-// deferred deletions (destroy_region_deferred aborts — there is no consensus
-// poller).
+// reports 0; messages counts broadcast-future deliveries only under scope),
+// and deferred deletions (destroy_region_deferred aborts — there is no
+// consensus poller).
 #pragma once
 
 #include <atomic>
@@ -70,7 +72,6 @@
 #include "exec/clock.hpp"
 #include "exec/collective.hpp"
 #include "exec/gate.hpp"
-#include "exec/queue.hpp"
 #include "prof/profiler.hpp"
 #include "scope/recorder.hpp"
 #include "runtime/region.hpp"
@@ -101,12 +102,6 @@ struct ThreadConfig {
   // on a single core, so this is what bench_exec uses).
   bool work_sleep = false;
 
-  // Per-(producer, consumer) SPSC future-value mailbox capacity.  The lock-
-  // free ring covers the common case; overflow spills to a small mutexed
-  // side buffer so a producer never blocks on a slow consumer (which could
-  // deadlock against a fence).
-  std::size_t mailbox_capacity = 256;
-
   // Analysis knobs, mirroring DcrConfig (dcr/runtime.hpp).
   bool determinism_checks = true;
   bool tracing_enabled = true;
@@ -122,7 +117,7 @@ struct ThreadConfig {
   bool profile = false;       // every span kind, on exec::WallClock, in ledger()
 
   // dcr-scope causal tracing (scope/recorder.hpp): thread-safe per-shard
-  // ledgers on wall-clock time.  TraceCtx rides the mailbox payloads and the
+  // ledgers on wall-clock time.  TraceCtx rides the future and fence
   // collective arrivals; blame reports reconcile exactly against prof
   // FenceWaitNs (the same clock reads feed both).
   bool scope = false;
@@ -184,19 +179,6 @@ class ThreadRuntime : private core::FineHooks {
  private:
   friend class ThreadShardContext;
 
-  struct FutureMsg {
-    std::uint64_t id = 0;
-    double value = 0.0;
-    // Causal context of the publish (ThreadConfig::scope): rides the SPSC
-    // mailbox so the waiter can name the span that released its future wait.
-    dcr::scope::TraceCtx ctx;
-  };
-
-  struct CachedFuture {
-    double value = 0.0;
-    dcr::scope::TraceCtx ctx;  // context the value was delivered with
-  };
-
   // State owned by exactly one shard thread: the front end's cursors,
   // templates and auto tracer (dcr/front_end.hpp), plus the physical replica
   // of what the simulator backend replicates logically — the front end's
@@ -206,20 +188,7 @@ class ThreadRuntime : private core::FineHooks {
     core::ShardingRegistry own_shardings;
     std::unique_ptr<statics::InterferenceProver> prover;  // over own_forest
     Hash128 call_fold{};  // running fold of §3 call hashes, compared at join
-    std::map<std::uint64_t, CachedFuture> future_cache;  // delivered broadcast values
-    // Inbound future-value transport: one SPSC ring per producer shard plus
-    // a mutexed overflow so producers never block (see ThreadConfig).
-    std::vector<std::unique_ptr<SpscQueue<FutureMsg>>> inbox;
-    std::mutex overflow_mu;
-    std::vector<FutureMsg> overflow;
-    alignas(kCacheLine) std::atomic<std::uint64_t> doorbell{0};
     std::string error;  // first failure on this thread, surfaced at join
-  };
-
-  struct FutureEntry {
-    bool reduce = false;
-    ShardId owner;                          // broadcast root (single-task owner)
-    std::shared_ptr<ValueCollective> coll;  // non-null iff reduce
   };
 
   ThreadShard& shard(ShardId s) { return *shards_[s.value]; }
@@ -234,11 +203,12 @@ class ThreadRuntime : private core::FineHooks {
   core::CoarseDecision install_replayed_decision(const core::OpRecord& op);
 
   std::shared_ptr<FenceCollective> fence_for(OpId dependent);
-  void ensure_future(std::uint64_t id, OpId producer);
-  void ensure_reduce_future(std::uint64_t id, core::ReduceOp rop);
+  // Create a future's collective at issue (the first issuing shard wins);
+  // future() is null for an id no shard has issued yet.
+  void ensure_future(std::uint64_t id, std::uint32_t ranks, double init,
+                     ValueCollective::CombineFn combine);
+  std::shared_ptr<ValueCollective> future(std::uint64_t id);
   void publish_future(ThreadShard& st, std::uint64_t id, double value);
-  void drain_inbox(ThreadShard& st);
-  CachedFuture wait_broadcast(ThreadShard& st, std::uint64_t id);
   // The calling shard's current causal context; invalid when scope is off.
   dcr::scope::TraceCtx scope_ctx(const ThreadShard& st) const;
 
@@ -277,8 +247,11 @@ class ThreadRuntime : private core::FineHooks {
   std::mutex analysis_mu_;
   core::DcrStats analysis_stats_;
 
+  // Every future by id: a single-task future is a one-rank collective its
+  // owner shard arrives at (§4.2 broadcast), a future-map reduce has one rank
+  // per shard (all-reduce).
   std::mutex futures_mu_;
-  std::map<std::uint64_t, FutureEntry> futures_;
+  std::map<std::uint64_t, std::shared_ptr<ValueCollective>> futures_;
   std::mutex fences_mu_;
   std::map<std::uint64_t, std::shared_ptr<FenceCollective>> fences_;
 

@@ -4,11 +4,19 @@
 #include <cstddef>
 #include <map>
 #include <ostream>
+#include <tuple>
 #include <utility>
 
 namespace dcr::prof {
 
 namespace {
+
+// A total order on a span's recorded fields, so ties between equal-weight
+// chains do not depend on recording order (which varies run to run on the
+// threads backend).
+auto span_key(const Span& s) {
+  return std::tie(s.start, s.end, s.shard, s.lane, s.kind, s.op, s.iter);
+}
 
 // Maximum-weight chain over spans under the interval order (a precedes b iff
 // a.end <= b.start).  Sweep spans by start time, keeping the best chain among
@@ -27,10 +35,12 @@ std::pair<SimTime, std::vector<std::size_t>> max_chain(const std::vector<Span>& 
   for (std::size_t i = 0; i < idx.size(); ++i) by_start[i] = by_end[i] = i;
   auto start_of = [&](std::size_t i) { return spans[idx[i]].start; };
   auto end_of = [&](std::size_t i) { return spans[idx[i]].end; };
+  auto key = [&](std::size_t i) { return span_key(spans[idx[i]]); };
   std::stable_sort(by_start.begin(), by_start.end(),
-                   [&](std::size_t a, std::size_t b) { return start_of(a) < start_of(b); });
-  std::stable_sort(by_end.begin(), by_end.end(),
-                   [&](std::size_t a, std::size_t b) { return end_of(a) < end_of(b); });
+                   [&](std::size_t a, std::size_t b) { return key(a) < key(b); });
+  std::stable_sort(by_end.begin(), by_end.end(), [&](std::size_t a, std::size_t b) {
+    return std::make_pair(end_of(a), key(a)) < std::make_pair(end_of(b), key(b));
+  });
 
   SimTime frontier_best = 0;
   std::size_t frontier_pred = ~std::size_t(0);
@@ -51,7 +61,7 @@ std::pair<SimTime, std::vector<std::size_t>> max_chain(const std::vector<Span>& 
 
   SimTime best = 0;
   std::size_t best_i = ~std::size_t(0);
-  for (std::size_t i = 0; i < state.size(); ++i) {
+  for (const std::size_t i : by_start) {
     if (state[i].best > best) {
       best = state[i].best;
       best_i = i;

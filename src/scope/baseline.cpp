@@ -105,21 +105,34 @@ BaselineDiff check_baseline(const prof::JsonValue& baseline,
 BaselineDiff check_baseline_files(const std::string& baseline_path,
                                   const std::string& live_path,
                                   double threshold_pct, bool include_wall) {
+  return check_baseline_loaded(load_baseline(baseline_path), live_path, threshold_pct,
+                               include_wall);
+}
+
+LoadedBaseline load_baseline(const std::string& path) {
+  LoadedBaseline b;
+  b.path = path;
+  b.text = read_file(path, &b.error);
+  return b;
+}
+
+BaselineDiff check_baseline_loaded(const LoadedBaseline& baseline,
+                                   const std::string& live_path,
+                                   double threshold_pct, bool include_wall) {
   BaselineDiff d;
-  std::string err;
-  const std::string btext = read_file(baseline_path, &err);
-  if (!err.empty()) {
-    d.error = err;
+  if (!baseline.error.empty()) {
+    d.error = baseline.error;
     return d;
   }
+  std::string err;
   const std::string ltext = read_file(live_path, &err);
   if (!err.empty()) {
     d.error = err;
     return d;
   }
-  const prof::JsonParseResult bp = prof::parse_json(btext);
+  const prof::JsonParseResult bp = prof::parse_json(baseline.text);
   if (!bp.ok()) {
-    d.error = baseline_path + ": " + bp.error;
+    d.error = baseline.path + ": " + bp.error;
     return d;
   }
   const prof::JsonParseResult lp = prof::parse_json(ltext);

@@ -58,6 +58,22 @@ BaselineDiff check_baseline_files(const std::string& baseline_path,
                                   double threshold_pct,
                                   bool include_wall = false);
 
+// A baseline file read into memory once.  A bench loads its baseline before
+// it writes the fresh BENCH_*.json, which may be the very same file.
+struct LoadedBaseline {
+  std::string path;
+  std::string text;
+  std::string error;  // non-empty if the file could not be read
+};
+
+LoadedBaseline load_baseline(const std::string& path);
+
+// check_baseline_files against a baseline loaded earlier.
+BaselineDiff check_baseline_loaded(const LoadedBaseline& baseline,
+                                   const std::string& live_path,
+                                   double threshold_pct,
+                                   bool include_wall = false);
+
 void render_baseline_diff(std::ostream& os, const BaselineDiff& d,
                           double threshold_pct);
 

@@ -18,9 +18,9 @@
 //   - on_future_wait  when a blocking future wait resolves, with the merged
 //                     context of the contribution that released it;
 //   - on_task_launch  when a point task is launched;
-//   - on_message      from the network send tap (sim) or the mailbox publish
-//                     path (threads), once per logical message carrying a
-//                     valid context;
+//   - on_message      from the network send tap (sim) or the broadcast-future
+//                     publish (threads, once per peer), once per logical
+//                     message carrying a valid context;
 //   - harvest_fence   at end of run, copying each FenceCollective's per-rank
 //                     arrival/completion timestamps and merged releaser.
 //
@@ -261,8 +261,9 @@ class Recorder {
   const std::vector<QuorumRec>& quorums() const { return quorums_; }
 
   // ---- network tap -------------------------------------------------------
-  // Atomic per-origin counters: safe from any thread (the sim network tap and
-  // the threads backend's mailbox publish path both report the *origin*).
+  // Atomic per-origin counters: safe from any thread and from live readers
+  // (the sim network tap and the threads backend's broadcast-future publish
+  // both report the *origin*).
   void on_message(const TraceCtx& ctx, std::uint64_t bytes) {
     if (!ctx.valid() || ctx.origin >= shards_.size()) return;
     ShardLedger& led = *shards_[ctx.origin];

@@ -1,5 +1,5 @@
 // Real-threads execution backend (src/exec): primitive units and stress
-// tests for the lock-free transport, plus the differential suite that runs
+// tests for the collectives, plus the differential suite that runs
 // every fuzz program through BOTH backends — the discrete-event simulator
 // (the oracle) and the OS-thread runtime — and demands spy-identical task
 // graphs, identical per-shard call-hash streams, and identical analysis
@@ -21,7 +21,6 @@
 #include "exec/clock.hpp"
 #include "exec/collective.hpp"
 #include "exec/gate.hpp"
-#include "exec/queue.hpp"
 #include "exec/thread_runtime.hpp"
 #include "spy/trace.hpp"
 #include "spy/verify.hpp"
@@ -38,45 +37,6 @@ using core::FunctionRegistry;
 // ===========================================================================
 // Primitive units
 // ===========================================================================
-
-TEST(SpscQueue, FifoOrderAndBackpressure) {
-  SpscQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99)) << "full queue must exert backpressure";
-  for (int i = 0; i < 4; ++i) {
-    auto v = q.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(SpscQueue, CapacityRoundsUpToPowerOfTwo) {
-  SpscQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-  SpscQueue<int> tiny(0);
-  EXPECT_EQ(tiny.capacity(), 2u);
-}
-
-TEST(SpscQueue, CloseDrainsPendingItems) {
-  SpscQueue<int> q(8);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  q.close();
-  EXPECT_FALSE(q.try_push(3)) << "closed queue rejects new items";
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.pop().has_value()) << "drained + closed pop returns empty";
-}
-
-TEST(MpmcQueue, FifoPerProducerAndBackpressure) {
-  MpmcQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(q.try_pop().value(), i);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
 
 TEST(FenceCollective, ReusableAcrossGenerations) {
   constexpr std::uint32_t kRanks = 4;
@@ -116,6 +76,51 @@ TEST(ValueCollective, CombinesInRankOrderRegardlessOfArrival) {
     for (auto& t : threads) t.join();
     ASSERT_TRUE(coll.ready());
     EXPECT_EQ(coll.result(), expected);
+  }
+}
+
+TEST(ValueCollective, OneRankBroadcastReachesEveryReader) {
+  // A broadcast future is a one-rank collective: the owner's arrival is the
+  // publish.  Waiters parked before it, a waiter arriving after it and a
+  // ready() poller must all read the same value and releaser context.
+  constexpr int kIterations = 1000;
+  constexpr int kEarly = 2;
+  constexpr int kReaders = kEarly + 2;  // + the poller + the late waiter
+  for (int iter = 0; iter < kIterations; ++iter) {
+    ValueCollective coll(1, 0.0, [](double, double v) { return v; });
+    const double value = iter + 0.5;
+    const scope::TraceCtx ctx{.trace = 1,
+                              .span = static_cast<std::uint64_t>(iter),
+                              .origin = 0,
+                              .at = static_cast<SimTime>(iter)};
+    // One slot per reader thread.
+    std::vector<double> seen(kReaders, -1.0);
+    std::vector<scope::TraceCtx> seen_ctx(kReaders);
+    std::atomic<int> parked{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kEarly; ++r) {
+      readers.emplace_back([&, r] {
+        parked.fetch_add(1);
+        seen[r] = coll.wait();
+        seen_ctx[r] = coll.result_ctx();
+      });
+    }
+    readers.emplace_back([&] {
+      while (!coll.ready()) std::this_thread::yield();
+      seen[kEarly] = coll.result();
+      seen_ctx[kEarly] = coll.result_ctx();
+    });
+    while (parked.load() < kEarly) std::this_thread::yield();
+    coll.arrive(0, value, ctx);
+    readers.emplace_back([&] {
+      seen[kEarly + 1] = coll.wait();
+      seen_ctx[kEarly + 1] = coll.result_ctx();
+    });
+    for (auto& t : readers) t.join();
+    for (int r = 0; r < kReaders; ++r) {
+      ASSERT_EQ(seen[r], value) << "iteration " << iter << ", reader " << r;
+      ASSERT_TRUE(seen_ctx[r] == ctx) << "iteration " << iter << ", reader " << r;
+    }
   }
 }
 
@@ -176,100 +181,6 @@ TEST(WallClock, MonotonicRealNanoseconds) {
   // A real sleep must advance the reading by roughly that much.
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_GE(clock.now() - b, static_cast<SimTime>(1'000'000));
-}
-
-// ===========================================================================
-// Stress (ISSUE satellite: fan-in, backpressure, shutdown-while-blocked)
-// ===========================================================================
-
-TEST(QueueStress, MpmcMultiProducerFanIn) {
-  // The ValueCollective fan-in shape: many producers, one consumer, a queue
-  // much smaller than the item count so the full/empty edges are hot.
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 1000;
-  MpmcQueue<std::uint64_t> q(16);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push((static_cast<std::uint64_t>(p) << 32) | i));
-      }
-    });
-  }
-  std::vector<std::uint32_t> last_seen(kProducers, 0);
-  std::uint64_t popped = 0;
-  std::thread consumer([&] {
-    while (popped < kProducers * kPerProducer) {
-      auto v = q.pop();
-      ASSERT_TRUE(v.has_value());
-      const int p = static_cast<int>(*v >> 32);
-      const std::uint32_t i = static_cast<std::uint32_t>(*v);
-      if (i > 0) EXPECT_EQ(i, last_seen[p] + 1) << "per-producer FIFO broken";
-      last_seen[p] = i;
-      popped++;
-    }
-  });
-  for (auto& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(popped, static_cast<std::uint64_t>(kProducers) * kPerProducer);
-}
-
-TEST(QueueStress, SpscFullQueueBackpressure) {
-  // 1000 iterations of a capacity-2 ring: the producer is almost always
-  // blocked on a full queue, the consumer almost always on an empty one.
-  constexpr std::uint64_t kItems = 1000;
-  SpscQueue<std::uint64_t> q(2);
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i));
-  });
-  std::uint64_t expect = 0;
-  std::thread consumer([&] {
-    while (expect < kItems) {
-      auto v = q.pop();
-      ASSERT_TRUE(v.has_value());
-      ASSERT_EQ(*v, expect) << "SPSC order broken under backpressure";
-      expect++;
-    }
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_EQ(expect, kItems);
-}
-
-TEST(QueueStress, ShutdownWhileBlocked) {
-  // 1000 iterations: a consumer parked on an empty queue and a producer
-  // parked on a full one must both return promptly once close() lands —
-  // the only assertion is termination (a hang here is the bug).
-  for (int iter = 0; iter < 1000; ++iter) {
-    SpscQueue<int> q(2);
-    std::thread consumer([&] {
-      while (q.pop().has_value()) {
-      }
-    });
-    std::thread producer([&] {
-      int i = 0;
-      while (q.push(i) && ++i < 8) {
-      }
-    });
-    q.close();
-    consumer.join();
-    producer.join();
-  }
-}
-
-TEST(QueueStress, MpmcShutdownWhileBlocked) {
-  for (int iter = 0; iter < 1000; ++iter) {
-    MpmcQueue<int> q(2);
-    std::thread popper([&] { (void)q.pop(); });
-    std::thread pusher([&] {
-      int i = 0;
-      while (q.push(i) && ++i < 4) {
-      }
-    });
-    q.close();
-    popper.join();
-    pusher.join();
-  }
 }
 
 // ===========================================================================

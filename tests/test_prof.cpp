@@ -21,6 +21,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/circuit.hpp"
@@ -292,6 +293,43 @@ TEST(ProfReport, CriticalPathAndKindTotals) {
   std::ostringstream os;
   prof::render_report(os, h.prof(), report);
   EXPECT_NE(os.str().find("critical path"), std::string::npos);
+}
+
+// The listed critical chain must not depend on the order spans were
+// recorded in: on threads that order varies from run to run, and equal-weight
+// chains are common (every shard of a symmetric stencil ties).
+TEST(ProfReport, CriticalChainIgnoresRecordingOrder) {
+  Harness h(4, prof_config(/*spans=*/true));
+  StencilConfig scfg{.cells_per_tile = 64, .tiles = 8, .steps = 4};
+  scfg.use_trace = true;
+  ASSERT_TRUE(run_stencil(h, scfg).completed);
+  std::vector<prof::Span> spans = h.spans();
+  // Plus four shards of back-to-back spans with identical timings, so many
+  // chains tie for the maximum.
+  for (std::uint32_t shard = 0; shard < 4; ++shard) {
+    for (SimTime t = 0; t < 3; ++t) {
+      spans.push_back({prof::SpanKind::FineAnalysis, prof::Lane::Analysis, shard,
+                       10'000'000 + 10 * t, 10'000'000 + 10 * (t + 1), t, prof::kNoId});
+    }
+  }
+  auto chain_of = [](const std::vector<prof::Span>& in) {
+    std::vector<std::tuple<SimTime, SimTime, std::uint32_t, prof::Lane, prof::SpanKind,
+                           std::uint64_t, std::uint64_t, std::uint64_t>>
+        out;
+    for (const prof::Span& s : prof::build_report(in).critical_chain) {
+      out.emplace_back(s.start, s.end, s.shard, s.lane, s.kind, s.op, s.iter, s.id);
+    }
+    return out;
+  };
+  const auto reference = chain_of(spans);
+  ASSERT_FALSE(reference.empty());
+  Philox4x32 rng(fuzz::seed_for_label("prof-report", 1), /*stream=*/0);
+  for (int trial = 0; trial < 8; ++trial) {
+    for (std::size_t i = spans.size(); i > 1; --i) {
+      std::swap(spans[i - 1], spans[rng.next_u64() % i]);
+    }
+    EXPECT_EQ(chain_of(spans), reference) << "shuffle " << trial;
+  }
 }
 
 // ------------------------------------------------------------- determinism

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "apps/stencil.hpp"
+#include "bench/bench_common.hpp"
 #include "common/philox.hpp"
 #include "dcr/runtime.hpp"
 #include "dcr_fuzz_programs.hpp"
@@ -659,6 +660,23 @@ TEST(ScopeBaseline, RejectsDisjointAndMalformedInputs) {
   EXPECT_FALSE(missing.ok());
 }
 
+// Run from the directory that holds its committed baseline, a bench writes
+// its fresh BENCH_*.json over the baseline before the check runs; the check
+// must still diff against the baseline as it was, not against itself.
+TEST(ScopeBaseline, BenchCheckReadsBaselineBeforeItIsOverwritten) {
+  const std::string path = ::testing::TempDir() + "BENCH_check_overwrite.json";
+  std::ofstream(path) << R"([{"sweep": "s", "makespan_us": 200}])";
+  std::string prog = "bench", flag = "--check-baseline", file = path;
+  char* argv[] = {prog.data(), flag.data(), file.data()};
+  const bench::BaselineCheck check = bench::parse_baseline_flags(3, argv);
+  {
+    bench::JsonDump fresh(path.c_str());
+    fresh.record("s", {{"makespan_us", 100.0}});
+  }
+  EXPECT_FALSE(check.passes(path.c_str())) << "a 50% regression went unreported";
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------------- prof snapshot diff
 
 TEST(ProfDiff, TolerantOfMissingKeysAndSections) {
@@ -857,6 +875,56 @@ TEST(ScopeThreads, BlameReconcilesOnWallClock) {
   }
   EXPECT_EQ(rec.messages().size(), rec.num_shards());
   EXPECT_EQ(rec.makespan(), stats.makespan);
+}
+
+// A single-task future on threads is published once by its owner shard;
+// dcr-scope charges that shard one logical message per peer, each of the
+// 48-byte (future id, value, TraceCtx) record a message-passing transport
+// would carry.  The owners are counted independently, from the spy trace.
+TEST(ScopeThreads, BroadcastFuturesTallyOneMessagePerPeer) {
+  constexpr std::size_t kShards = 4;
+  constexpr std::uint64_t kMsgBytes = 48;
+  FunctionRegistry functions;
+  const FunctionId fn = functions.register_simple(
+      "valued", us(1), 0.0,
+      [](const PointTaskInfo& info) { return static_cast<double>(info.args.at(0)); });
+  exec::ThreadConfig cfg = threads_scope_config(kShards);
+  cfg.record_trace = true;
+  exec::ThreadRuntime rt(functions, cfg);
+  std::vector<double> sums(kShards, 0.0);  // one slot per shard thread
+  const DcrStats stats = rt.execute([&, fn](Context& ctx) {
+    double sum = 0.0;
+    for (std::int64_t i = 0; i < 13; ++i) {
+      TaskLaunch tl;
+      tl.fn = fn;
+      tl.args = {i};
+      tl.wants_future = true;
+      sum += ctx.get_future(ctx.launch(tl));
+    }
+    sums[ctx.shard_id().value] = sum;
+  });
+  ASSERT_TRUE(stats.completed) << stats.abort_message;
+  for (std::size_t s = 0; s < kShards; ++s) EXPECT_EQ(sums[s], 78.0) << "shard " << s;
+
+  ASSERT_NE(rt.trace(), nullptr);
+  const spy::Trace& trace = *rt.trace();
+  std::vector<std::uint64_t> publishes(kShards, 0);
+  for (const spy::TaskRecord& t : trace.tasks) {
+    const spy::OpRecord* op = trace.op(t.op);
+    ASSERT_NE(op, nullptr);
+    if (op->kind == "task") ++publishes[t.shard.value];
+  }
+  ASSERT_NE(rt.scope(), nullptr);
+  const std::vector<dcr::scope::MessageStats>& msgs = rt.scope()->messages();
+  ASSERT_EQ(msgs.size(), kShards);
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(msgs[s].messages, (kShards - 1) * publishes[s]) << "shard " << s;
+    EXPECT_EQ(msgs[s].bytes, kMsgBytes * msgs[s].messages) << "shard " << s;
+    total += publishes[s];
+  }
+  EXPECT_EQ(total, 13u);
+  EXPECT_EQ(rt.scope()->messages_recorded(), (kShards - 1) * total);
 }
 
 // On threads the timestamps are wall time, so the profile-only and the
